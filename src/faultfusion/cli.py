@@ -57,18 +57,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _one_line(exc: Exception) -> str:
+    """configparser messages span lines; the CLI reports one."""
+    return " ".join(str(exc).split())
+
+
 def _read_config(path: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     if path is not None:
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
-        cp.read(path)
+        try:
+            cp.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not valid INI: {_one_line(exc)}") from exc
     return cp
 
 
 def _get(cp, section: str, key: str, default, cast=str):
     if cp.has_option(section, key):
-        raw = cp.get(section, key)
+        try:
+            raw = cp.get(section, key)
+        except configparser.Error as exc:  # e.g. a bare '%' breaks interpolation
+            raise ConfigError(f"[{section}] {key}: {_one_line(exc)}") from exc
         try:
             return cast(raw)
         except (TypeError, ValueError) as exc:
@@ -207,12 +218,11 @@ def cmd_train(args) -> int:
     default_len = _get(cp, "synth", "window_len", 1000, int)
     window_len = _get(cp, "data", "window_len", default_len, int)
     dataset = _dataset_for(cp, args, kind, window_len)
-    if cp.has_option("model", "num_classes"):
-        declared = cp.getint("model", "num_classes")
-        if declared != dataset.num_classes:
-            raise DataError(
-                f"[model] num_classes={declared} but the dataset has {dataset.num_classes}"
-            )
+    declared = _get(cp, "model", "num_classes", None, int)
+    if declared is not None and declared != dataset.num_classes:
+        raise DataError(
+            f"[model] num_classes={declared} but the dataset has {dataset.num_classes}"
+        )
     spec = _model_spec_from(cp, kind, dataset.num_classes, dataset.window_len)
     config = _train_config_from(cp, args.seed)
     model = build_model(spec, Rng(config.seed).derive(_INIT_TAG))

@@ -279,6 +279,23 @@ def _spec_from_pairs(pairs: dict[str, str]) -> ModelSpec:
     return ModelSpec(**kwargs)
 
 
+def _parse_header(header: bytes) -> tuple[ModelSpec, list[tuple[str, tuple[int, ...]]]]:
+    """Spec and tensor manifest from the text between magic and ``end``."""
+    pairs: dict[str, str] = {}
+    manifest: list[tuple[str, tuple[int, ...]]] = []
+    for line in header.decode("ascii").splitlines():
+        if line.startswith("tensor "):
+            _, name, shape = line.split(" ")
+            dims = tuple(int(s) for s in shape.split(","))
+            manifest.append((name, dims))
+        elif "=" in line:
+            key, value = line.split("=", 1)
+            pairs[key] = value
+        else:
+            raise DataError(f"unparseable model header line {line!r}")
+    return _spec_from_pairs(pairs), manifest
+
+
 def save_model(model: Model, path: str | os.PathLike) -> None:
     """Write magic, text header with a tensor manifest, then raw <f8 blobs."""
     params = model.parameters()
@@ -305,23 +322,11 @@ def load_model(path: str | os.PathLike) -> Model:
     header_end = blob.find(b"\nend\n")
     if header_end < 0:
         raise DataError(f"truncated model file {path}: header never ends")
-    header = blob[len(_MAGIC) + 1 : header_end].decode("ascii").splitlines()
     payload = blob[header_end + len(b"\nend\n") :]
-
-    pairs: dict[str, str] = {}
-    manifest: list[tuple[str, tuple[int, ...]]] = []
-    for line in header:
-        if line.startswith("tensor "):
-            _, name, shape = line.split(" ")
-            dims = tuple(int(s) for s in shape.split(","))
-            manifest.append((name, dims))
-        elif "=" in line:
-            key, value = line.split("=", 1)
-            pairs[key] = value
-        else:
-            raise DataError(f"unparseable model header line {line!r}")
-
-    spec = _spec_from_pairs(pairs)
+    try:
+        spec, manifest = _parse_header(blob[len(_MAGIC) + 1 : header_end])
+    except (ValueError, ConfigError) as exc:  # ValueError covers UnicodeDecodeError
+        raise DataError(f"model file {path}: corrupt header: {exc}") from exc
     model = build_model(spec, Rng(0))
     expected = model.parameters()
     if [n for n, _ in manifest] != list(expected.keys()):

@@ -5,7 +5,8 @@ import pytest
 
 from faultfusion.cli import main
 from faultfusion.data import read_manifest
-from faultfusion.model import load_model
+from faultfusion.model import VIBRATION_CNN, build_model, load_model, save_model, small_spec
+from faultfusion.tensor import Rng
 
 TINY_SYNTH = """
     [synth]
@@ -43,6 +44,12 @@ def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text))
     return str(path)
+
+
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 class TestGenerate:
@@ -135,6 +142,27 @@ class TestTrain:
         config = write_config(tmp_path, TINY_SYNTH)
         assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kind = fusion\n",
+            "[model]\nkind = fusion\n[model]\ndense_units = 8\n",
+        ],
+        ids=["missing_section_header", "duplicate_section"],
+    )
+    def test_malformed_ini_is_usage_error(self, tmp_path, capsys, text):
+        config = write_config(tmp_path, text)
+        assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
+        assert_one_line_error(capsys, "usage error: config file")
+
+    @pytest.mark.parametrize("value", ["three", "3%"])  # '%' breaks interpolation
+    def test_unparseable_num_classes_is_usage_error(self, tmp_path, capsys, value):
+        config = write_config(
+            tmp_path, TINY_TRAIN.replace("[model]", f"[model]\n    num_classes = {value}")
+        )
+        assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
+        assert_one_line_error(capsys, "usage error: [model] num_classes")
+
     def test_trains_from_generated_manifest(self, tmp_path):
         gen_config = write_config(tmp_path, TINY_SYNTH, "gen.ini")
         data_dir = tmp_path / "dataset"
@@ -190,6 +218,26 @@ class TestEvaluate:
     def test_missing_model_file(self, tmp_path):
         config = write_config(tmp_path, TINY_TRAIN)
         assert main(["evaluate", str(tmp_path / "nope.fmdl"), "--config", config]) == 2
+
+    @pytest.mark.parametrize(
+        "good,bad",
+        [
+            (b"kind=vibration_cnn", "kind=vibratión_cnn".encode("utf-8")),
+            (b"tensor vib.0.kernels ", b"tensor vib.0.kernels 1 "),
+            (b"num_classes=3", b"num_classes=three"),
+            (b"num_classes=3", b"num_classes=1"),
+        ],
+        ids=["non_ascii", "malformed_tensor_line", "non_integer_field", "out_of_range_field"],
+    )
+    def test_corrupt_model_header_is_data_error(self, tmp_path, capsys, good, bad):
+        path = tmp_path / "m.fmdl"
+        save_model(build_model(small_spec(VIBRATION_CNN), Rng(0)), path)
+        blob = path.read_bytes()
+        assert blob.count(good) == 1
+        path.write_bytes(blob.replace(good, bad))
+        config = write_config(tmp_path, TINY_TRAIN)
+        assert main(["evaluate", str(path), "--config", config]) == 2
+        assert_one_line_error(capsys, f"data error: model file {path}: corrupt header")
 
 
 class TestInfer:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import assert_grads_close, central_diff
 
+from faultfusion import layers
 from faultfusion.errors import ShapeError
 from faultfusion.layers import (
     LSTM,
@@ -98,6 +99,63 @@ class TestConv1D:
             single, _ = layer.forward(xs[b])
             assert np.array_equal(batched[b], single)
 
+    def test_batched_matches_loop_single_channel(self):
+        rng = Rng(7)
+        xs = rng.normal((5, 40, 1))
+        layer = Conv1D(rng.normal((7, 1, 4)), rng.normal(4))
+        batched, _ = layer.forward(xs)
+        for b in range(5):
+            single, _ = layer.forward(xs[b])
+            assert np.array_equal(batched[b], single)
+
+    # each layout builds the input as a view of a contiguous base array; the
+    # finite differences perturb the base, the analytic grad_x is written back
+    # through the same view
+    LAYOUTS = {
+        "single_channel": ((2, 11, 1), lambda base: base),
+        "strided_time": ((2, 22, 2), lambda base: base[:, ::2, :]),
+        "transposed": ((2, 2, 11), lambda base: base.transpose(0, 2, 1)),
+        "new_axis_channel": ((2, 11), lambda base: base[:, :, None]),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_backward_matches_finite_differences_on_views(self, layout):
+        shape, view = self.LAYOUTS[layout]
+        rng = Rng(8)
+        base = rng.normal(shape)
+        cin = view(base).shape[2]
+        layer = Conv1D(rng.normal((4, cin, 3)), rng.normal(3))
+        probe = rng.normal((2, 8, 3))
+
+        def loss():
+            y, _ = layer.forward(view(base))
+            return float((y * probe).sum())
+
+        _, cache = layer.forward(view(base))
+        gx, grads = layer.backward(cache, probe)
+        gbase = np.zeros_like(base)
+        view(gbase)[...] = gx
+        assert_grads_close(gbase, central_diff(loss, base), rtol=1e-6, label=f"{layout} grad_x")
+        assert_grads_close(
+            grads["kernels"], central_diff(loss, layer.kernels), rtol=1e-6, label=f"{layout} grad_k"
+        )
+        assert_grads_close(
+            grads["bias"], central_diff(loss, layer.bias), rtol=1e-6, label=f"{layout} grad_b"
+        )
+
+    def test_split_into_blocks_matches_one_block(self, monkeypatch):
+        rng = Rng(9)
+        x = rng.normal((6, 30, 3))
+        layer = Conv1D(rng.normal((5, 3, 4)), rng.normal(4))
+        probe = rng.normal((6, 26, 4))
+        y_one, cache = layer.forward(x)
+        _, grads_one = layer.backward(cache, probe)
+        monkeypatch.setattr(layers, "_BLOCK_ROWS", 1)  # one window per block
+        y_split, cache = layer.forward(x)
+        _, grads_split = layer.backward(cache, probe)
+        assert np.array_equal(y_split, y_one)
+        assert np.allclose(grads_split["kernels"], grads_one["kernels"], rtol=1e-12, atol=1e-12)
+
 
 class TestMaxPool:
     def test_basic(self):
@@ -144,6 +202,54 @@ class TestMaxPool:
         for T, p in [(10, 2), (11, 2), (9, 4), (12, 3)]:
             y, _ = MaxPool1D(p).forward(Rng(T).normal((T, 1)))
             assert y.shape[0] == T // p
+
+    def test_ties_route_to_first_tied_tap(self):
+        # windows of 4 tied at taps {1, 2, 3}, {2, 3}, {0, 3}, {0, 1, 2, 3}
+        x = np.array([0, 5, 5, 5, 1, 0, 7, 7, 2, 1, 0, 2, 3, 3, 3, 3], dtype=float)
+        layer = MaxPool1D(4)
+        y, cache = layer.forward(x.reshape(16, 1))
+        assert np.array_equal(y[:, 0], [5.0, 7.0, 2.0, 3.0])
+        gx, _ = layer.backward(cache, np.ones((4, 1)))
+        assert np.flatnonzero(gx[:, 0]).tolist() == [1, 6, 8, 12]
+
+    @staticmethod
+    def _argmax_pool(x, p, grad_out):
+        """The argmax + take_along_axis formula MaxPool1D used before the
+        strided max, kept as the oracle."""
+        B, T, C = x.shape
+        To = T // p
+        windows = x[:, : To * p, :].reshape(B, To, p, C)
+        argmax = windows.argmax(axis=2)
+        y = np.take_along_axis(windows, argmax[:, :, None, :], axis=2)[:, :, 0, :]
+        grad_windows = np.zeros((B, To, p, C))
+        np.put_along_axis(grad_windows, argmax[:, :, None, :], grad_out[:, :, None, :], axis=2)
+        gx = np.zeros((B, T, C))
+        gx[:, : To * p, :] = grad_windows.reshape(B, To * p, C)
+        return y, gx
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_bit_identical_to_argmax_oracle_on_relu_zeros(self, p):
+        rng = Rng(p)
+        x = relu(rng.normal((3, 4 * p + 1, 5)))  # about half zeros: many tied windows
+        grad_out = rng.normal((3, 4, 5))  # negative entries would expose a -0.0
+        layer = MaxPool1D(p)
+        y, cache = layer.forward(x)
+        gx, _ = layer.backward(cache, grad_out)
+        want_y, want_gx = self._argmax_pool(x, p, grad_out)
+        assert y.tobytes() == want_y.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
+
+    def test_pool_wider_than_a_byte(self):
+        p = 300
+        x = np.zeros((1, 2 * p + 7, 2))
+        x[0, 299, 0] = 1.0  # last tap of the first window
+        x[0, p + 256, 0] = 1.0  # tap 256 would wrap to 0 in a uint8 index
+        layer = MaxPool1D(p)
+        _, cache = layer.forward(x)
+        gx, _ = layer.backward(cache, np.ones((1, 2, 2)))
+        assert np.flatnonzero(gx[0, :, 0]).tolist() == [299, p + 256]
+        assert np.flatnonzero(gx[0, :, 1]).tolist() == [0, p]  # all-zero windows tie
+        assert gx.tobytes() == self._argmax_pool(x, p, np.ones((1, 2, 2)))[1].tobytes()
 
 
 class TestReLU:
