@@ -16,6 +16,15 @@ Forward and the kernel gradient are one GEMM per block of windows. MaxPool1D
 takes the elementwise max over its p strided taps x[:, j::p, :] and caches,
 per output, the index of the first tap equal to the max in the smallest
 unsigned dtype that holds p - 1; backward routes the gradient to that tap.
+
+LSTM works on time-major slabs allocated once per call, so that every gate of
+every step is one contiguous [B, u] block: A [T, 4, B, u] holds the gates (the
+input projection xW + b is written straight into it, then each step adds
+h_{t-1} U and activates in place), C and H [T + 1, B, u] hold the cell and
+hidden states with C[0] = H[0] = 0, and TC [T, B, u] holds tanh(c_t). A step
+is one GEMM and in-place ufunc calls on those blocks; nothing is allocated
+per step. Backward reads the same slabs, writes dL/dz into a [T, B, 4u] slab,
+and forms the W, U, b and input gradients as 2-D GEMMs over its T*B rows.
 """
 
 from __future__ import annotations
@@ -46,6 +55,12 @@ def _debatch(y: np.ndarray, batched: bool) -> np.ndarray:
 # 28 ms in 8192-row blocks and 71 ms as one whole-batch window matrix.
 _BLOCK_ROWS = 8192
 
+# LSTM backward: elements per gate in one block of steps (steps x B x u). A
+# block's step-independent gradient factors are formed together and read back
+# while still in cache: at B=64, T=246, u=64 they took 27 ms as whole-sequence
+# passes and 12 ms in blocks of this size.
+_LSTM_BLOCK = 16384
+
 
 def _window_blocks(xb: np.ndarray, K: int):
     """im2col of a C-contiguous [B, T, Cin] batch, To = T - K + 1.
@@ -65,12 +80,6 @@ def _window_blocks(xb: np.ndarray, K: int):
     for start in range(0, B, step):
         rows = slice(start, start + step)
         yield rows, view[rows].reshape(-1, K * Cin)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp overflow saturates to 0.0 / 1.0, which is the correct limit
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -142,7 +151,8 @@ class Conv1D:
         cache = {"x": xb, "batched": batched}
         return _debatch(y, batched), cache
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
+        """(grad_x, parameter grads); grad_x is None when input_grad is False."""
         xb = cache["x"]
         batched = cache["batched"]
         gb, _ = _ensure_batch(grad_out, 2, "conv1d grad")
@@ -151,15 +161,18 @@ class Conv1D:
         To = T - K + 1
         if gb.shape != (B, To, Cout):
             raise ShapeError(f"conv1d: grad shape {gb.shape} != {(B, To, Cout)}")
-        grad_x = np.zeros_like(xb)
-        for k in range(K):
-            grad_x[:, k : k + To, :] += gb @ self.kernels[k].T
+        grad_x = None
+        if input_grad:
+            grad_x = np.zeros_like(xb)
+            for k in range(K):
+                grad_x[:, k : k + To, :] += gb @ self.kernels[k].T
+            grad_x = _debatch(grad_x, batched)
         grad_k = np.zeros((K * Cin, Cout), dtype=DTYPE)  # rows in [K, Cin] order
         for rows, cols in _window_blocks(xb, K):
             grad_k += cols.T @ gb[rows].reshape(-1, Cout)
         grad_b = gb.sum(axis=(0, 1))
         grads = {"kernels": grad_k.reshape(K, Cin, Cout), "bias": grad_b}
-        return _debatch(grad_x, batched), grads
+        return grad_x, grads
 
 
 class MaxPool1D:
@@ -321,74 +334,100 @@ class LSTM:
             raise ShapeError(f"lstm: input has {Cin} channels, W expects {self.W.shape[0]}")
         seq = self.return_sequences if return_sequences is None else return_sequences
         u = self.units
-        xW = xb @ self.W + self.b  # [B, T, 4u]
-        h = np.zeros((B, u), dtype=DTYPE)
-        c = np.zeros((B, u), dtype=DTYPE)
-        gates, cells, tanh_cells, h_prev = [], [], [], []
-        h_all = np.empty((B, T, u), dtype=DTYPE)
-        for t in range(T):
-            z = xW[:, t, :] + h @ self.U
-            i = _sigmoid(z[:, :u])
-            f = _sigmoid(z[:, u : 2 * u])
-            g = np.tanh(z[:, 2 * u : 3 * u])
-            o = _sigmoid(z[:, 3 * u :])
-            h_prev.append(h)
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            gates.append((i, f, g, o))
-            cells.append(c)
-            tanh_cells.append(tc)
-            h_all[:, t, :] = h
-        cache = {
-            "x": xb,
-            "gates": gates,
-            "cells": cells,
-            "tanh_cells": tanh_cells,
-            "h_prev": h_prev,
-            "seq": seq,
-            "batched": batched,
-        }
-        y = h_all if seq else h_all[:, -1, :]
+        # A[t, k] is gate k of step t: z before the loop reaches step t, the
+        # activated gate after. The projection writes each gate straight into
+        # its slot, one [T, Cin] x [Cin, u] GEMM per (window, gate).
+        A = np.empty((T, 4, B, u), dtype=DTYPE)
+        W4 = self.W.reshape(Cin, 4, u).transpose(1, 0, 2)
+        np.matmul(xb[:, None], W4, out=A.transpose(2, 1, 0, 3))
+        A += self.b.reshape(4, 1, u)
+        C = np.empty((T + 1, B, u), dtype=DTYPE)  # C[t + 1] = c_t, C[0] = c_{-1} = 0
+        H = np.empty((T + 1, B, u), dtype=DTYPE)  # H[t + 1] = h_t, H[0] = h_{-1} = 0
+        C[0] = 0.0
+        H[0] = 0.0
+        TC = np.empty((T, B, u), dtype=DTYPE)  # tanh(c_t)
+        U = self.U
+        hU = np.empty((B, 4 * u), dtype=DTYPE)
+        hU4 = hU.reshape(B, 4, u).transpose(1, 0, 2)
+        ig = np.empty((B, u), dtype=DTYPE)
+        # exp(-z) overflow saturates the sigmoid to 0.0, the correct limit
+        with np.errstate(over="ignore"):
+            steps = zip(A, A[:, :2], A[:, 2], A[:, 3], H[:-1], H[1:], C[:-1], C[1:], TC)
+            for a, i_f, g, o, h_prev, h, c_prev, c, tc in steps:
+                np.matmul(h_prev, U, out=hU)
+                np.add(a, hU4, out=a)
+                for s in (i_f, o):  # sigmoid on i, f and o
+                    np.negative(s, out=s)
+                    np.exp(s, out=s)
+                    np.add(1.0, s, out=s)
+                    np.divide(1.0, s, out=s)
+                np.tanh(g, out=g)
+                np.multiply(i_f[1], c_prev, out=c)
+                np.multiply(i_f[0], g, out=ig)
+                np.add(c, ig, out=c)
+                np.tanh(c, out=tc)
+                np.multiply(o, tc, out=h)
+        cache = {"x": xb, "A": A, "C": C, "TC": TC, "H": H, "seq": seq, "batched": batched}
+        y = H[1:].transpose(1, 0, 2) if seq else H[T]
         return _debatch(y, batched), cache
 
     def backward(self, cache, grad_out: np.ndarray):
-        xb = cache["x"]
+        xb, A, C, TC, H = cache["x"], cache["A"], cache["C"], cache["TC"], cache["H"]
         B, T, Cin = xb.shape
         u = self.units
         if cache["seq"]:
             gseq, _ = _ensure_batch(grad_out, 2, "lstm grad")
             if gseq.shape != (B, T, u):
                 raise ShapeError(f"lstm: grad shape {gseq.shape} != {(B, T, u)}")
+            G = gseq.transpose(1, 0, 2)
         else:
             glast, _ = _ensure_batch(grad_out, 1, "lstm grad")
-            gseq = np.zeros((B, T, u), dtype=DTYPE)
-            gseq[:, -1, :] = glast
-        gates, cells, tanh_cells, h_prev = (
-            cache["gates"],
-            cache["cells"],
-            cache["tanh_cells"],
-            cache["h_prev"],
-        )
-        dZ = np.empty((B, T, 4 * u), dtype=DTYPE)
+            if glast.shape != (B, u):
+                raise ShapeError(f"lstm: grad shape {glast.shape} != {(B, u)}")
+            G = np.zeros((T, B, u), dtype=DTYPE)
+            G[-1] = glast
+        # dZ[t] is dL/dz_t as [B, 4u] rows, the layout of the GEMMs below;
+        # dZ4 views it gate-major. Per step:
+        #   dh_t = G_t + dz_{t+1} U^T      dc_t = dc_{t+1} f_{t+1} + dh_t Q_t
+        #   dz_i = dc_t P_i   dz_f = dc_t P_f   dz_g = dc_t P_g   dz_o = dh_t P_o
+        # where P and Q do not depend on the recursion:
+        #   P_i = (1 - i) i g    P_f = (1 - f) f c_{t-1}    P_g = (1 - g^2) i
+        #   P_o = (1 - o) o tanh(c_t)                       Q = (1 - tanh(c_t)^2) o
+        # They are formed for a block of steps at a time, gate-major, so the
+        # block is still in cache when the steps read it.
+        dZ = np.empty((T, B, 4 * u), dtype=DTYPE)
+        dZ4 = dZ.reshape(T, B, 4, u).transpose(0, 2, 1, 3)
+        n = min(T, max(1, _LSTM_BLOCK // (B * u)))
+        P = np.empty((n, 4, B, u), dtype=DTYPE)
+        Q = np.empty((n, B, u), dtype=DTYPE)
+        UT = self.U.T
         dh = np.zeros((B, u), dtype=DTYPE)
         dc = np.zeros((B, u), dtype=DTYPE)
-        for t in range(T - 1, -1, -1):
-            i, f, g, o = gates[t]
-            tc = tanh_cells[t]
-            dht = gseq[:, t, :] + dh
-            dc = dc + dht * o * (1.0 - tc * tc)
-            c_prev = cells[t - 1] if t > 0 else 0.0
-            dz = dZ[:, t, :]
-            dz[:, :u] = dc * g * i * (1.0 - i)
-            dz[:, u : 2 * u] = dc * c_prev * f * (1.0 - f) if t > 0 else 0.0
-            dz[:, 2 * u : 3 * u] = dc * i * (1.0 - g * g)
-            dz[:, 3 * u :] = dht * tc * o * (1.0 - o)
-            dh = dz @ self.U.T
-            dc = dc * f
-        H_prev = np.stack(h_prev, axis=1)  # [B, T, u], entry t is h_{t-1}
-        grad_W = np.tensordot(xb, dZ, axes=([0, 1], [0, 1]))
-        grad_U = np.tensordot(H_prev, dZ, axes=([0, 1], [0, 1]))
-        grad_b = dZ.sum(axis=(0, 1))
-        grad_x = dZ @ self.W.T
+        for stop in range(T, 0, -n):
+            start = max(0, stop - n)
+            a, p, q = A[start:stop], P[: stop - start], Q[: stop - start]
+            for k, other in ((0, a[:, 2]), (1, C[start:stop]), (3, TC[start:stop])):
+                np.subtract(1.0, a[:, k], out=p[:, k])
+                p[:, k] *= a[:, k]
+                p[:, k] *= other
+            np.multiply(a[:, 2], a[:, 2], out=p[:, 2])
+            np.subtract(1.0, p[:, 2], out=p[:, 2])
+            p[:, 2] *= a[:, 0]
+            np.multiply(TC[start:stop], TC[start:stop], out=q)
+            np.subtract(1.0, q, out=q)
+            q *= a[:, 3]
+            steps = zip(G[start:stop], p, q, dZ[start:stop], dZ4[start:stop], a[:, 1])
+            for g_t, p_t, q_t, dz, dz4, f in reversed(list(steps)):
+                np.add(g_t, dh, out=dh)
+                q_t *= dh
+                dc += q_t
+                np.multiply(p_t[:3], dc, out=dz4[:3])
+                np.multiply(p_t[3], dh, out=dz4[3])
+                np.matmul(dz, UT, out=dh)
+                dc *= f
+        dZ2 = dZ.reshape(T * B, 4 * u)
+        grad_W = xb.transpose(1, 0, 2).reshape(T * B, Cin).T @ dZ2
+        grad_U = H[:T].reshape(T * B, u).T @ dZ2
+        grad_b = dZ2.sum(axis=0)
+        grad_x = (dZ2 @ self.W.T).reshape(T, B, Cin).transpose(1, 0, 2)
         return _debatch(grad_x, cache["batched"]), {"W": grad_W, "U": grad_U, "b": grad_b}

@@ -13,6 +13,7 @@ pre-softmax logits (the fused cross-entropy form).
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -64,6 +65,19 @@ class ModelSpec:
             len(self.ac_conv_channels) == len(self.ac_conv_kernels) == len(self.ac_pool_sizes)
         ):
             raise ConfigError("ac_conv_channels, ac_conv_kernels and ac_pool_sizes must align")
+        for name, low in (
+            ("conv_channels", 1),
+            ("conv_kernels", 1),
+            ("pool_sizes", 2),
+            ("ac_conv_channels", 1),
+            ("ac_conv_kernels", 1),
+            ("ac_pool_sizes", 2),
+        ):
+            if any(v < low for v in getattr(self, name)):
+                raise ConfigError(f"{name} entries must be >= {low}, got {getattr(self, name)}")
+        for name, low in (("lstm_units", 1), ("lstm_layers", 0), ("dense_units", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def conv_pool_chain(
@@ -87,39 +101,84 @@ def conv_pool_chain(
     return lengths
 
 
-def _build_vib_branch(spec: ModelSpec, rng: Rng) -> tuple[list, int]:
-    chain = conv_pool_chain(spec.input_len, spec.conv_kernels, spec.pool_sizes, "vibration")
-    layers = []
+# Parameter shapes of each layer type from its size arguments (the arguments
+# of its ``init`` without the Rng); the dict order is the constructor's.
+_PARAM_SHAPES = {
+    Conv1D: lambda k, cin, cout: {"kernels": (k, cin, cout), "bias": (cout,)},
+    LSTM: lambda cin, units: {"W": (cin, 4 * units), "U": (units, 4 * units), "b": (4 * units,)},
+    Dense: lambda n_in, n_out: {"weights": (n_in, n_out), "bias": (n_out,)},
+}
+
+
+def _conv_blocks(branch, channels, kernels, pools) -> tuple[list[tuple], int]:
+    """Conv -> ReLU -> MaxPool blocks over a 1-channel input; also the channels out."""
+    if not channels:
+        raise ShapeError(f"{branch} branch: at least one conv block is required")
+    plan = []
     cin = 1
-    for ch, k, p in zip(spec.conv_channels, spec.conv_kernels, spec.pool_sizes):
-        layers += [Conv1D.init(k, cin, ch, rng), ReLULayer(), MaxPool1D(p)]
+    for ch, k, p in zip(channels, kernels, pools):
+        plan += [(Conv1D, k, cin, ch), (ReLULayer,), (MaxPool1D, p)]
         cin = ch
-    layers.append(Flatten())
-    return layers, chain[-1] * spec.conv_channels[-1]
+    return plan, cin
 
 
-def _build_ac_branch(spec: ModelSpec, rng: Rng) -> tuple[list, int]:
-    chain = conv_pool_chain(spec.input_len, spec.ac_conv_kernels, spec.ac_pool_sizes, "acoustic")
-    if chain[-1] < 1:
-        raise ShapeError("acoustic branch: no timesteps left for the LSTM stack")
-    layers = []
-    cin = 1
-    for ch, k, p in zip(spec.ac_conv_channels, spec.ac_conv_kernels, spec.ac_pool_sizes):
-        layers += [Conv1D.init(k, cin, ch, rng), ReLULayer(), MaxPool1D(p)]
-        cin = ch
-    for _ in range(spec.lstm_layers):
-        layers.append(LSTM.init(cin, spec.lstm_units, rng, return_sequences=True))
-        cin = spec.lstm_units
-    layers.append(Flatten())
-    return layers, chain[-1] * spec.lstm_units
+def _layer_plan(spec: ModelSpec) -> dict[str, list[tuple]]:
+    """Per branch, each layer as (class, *size args) in build order.
 
-
-def _build_head(spec: ModelSpec, in_dim: int, rng: Rng) -> list:
-    return [
-        Dense.init(in_dim, spec.dense_units, rng),
-        ReLULayer(),
-        Dense.init(spec.dense_units, spec.num_classes, rng),
+    Pure arithmetic on the spec: nothing is allocated, so a weight file's
+    header can be checked against it before any array exists.
+    """
+    plan: dict[str, list[tuple]] = {}
+    head_in = 0
+    if spec.kind in (VIBRATION_CNN, FUSION):
+        chain = conv_pool_chain(spec.input_len, spec.conv_kernels, spec.pool_sizes, "vibration")
+        layers, cin = _conv_blocks(
+            "vibration", spec.conv_channels, spec.conv_kernels, spec.pool_sizes
+        )
+        plan["vib"] = layers + [(Flatten,)]
+        head_in += chain[-1] * cin
+    if spec.kind in (ACOUSTIC_CNN_LSTM, FUSION):
+        chain = conv_pool_chain(
+            spec.input_len, spec.ac_conv_kernels, spec.ac_pool_sizes, "acoustic"
+        )
+        if chain[-1] < 1:
+            raise ShapeError("acoustic branch: no timesteps left for the LSTM stack")
+        layers, cin = _conv_blocks(
+            "acoustic", spec.ac_conv_channels, spec.ac_conv_kernels, spec.ac_pool_sizes
+        )
+        for _ in range(spec.lstm_layers):
+            layers.append((LSTM, cin, spec.lstm_units))
+            cin = spec.lstm_units
+        plan["ac"] = layers + [(Flatten,)]
+        head_in += chain[-1] * cin
+    plan["head"] = [
+        (Dense, head_in, spec.dense_units),
+        (ReLULayer,),
+        (Dense, spec.dense_units, spec.num_classes),
     ]
+    return plan
+
+
+def _instantiate(spec: ModelSpec, plan: dict[str, list[tuple]], make) -> "Model":
+    """A Model whose parameterised layers come from ``make(cls, sizes)``."""
+    branches = {
+        branch: [
+            make(cls, sizes) if cls in _PARAM_SHAPES else cls(*sizes) for cls, *sizes in layers
+        ]
+        for branch, layers in plan.items()
+    }
+    return Model(spec, branches.get("vib"), branches.get("ac"), branches["head"])
+
+
+def _param_manifest(plan: dict[str, list[tuple]]) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in ``Model.parameters()`` order."""
+    manifest = []
+    for branch, layers in plan.items():
+        for idx, (cls, *sizes) in enumerate(layers):
+            if cls in _PARAM_SHAPES:
+                for key, shape in _PARAM_SHAPES[cls](*sizes).items():
+                    manifest.append((f"{branch}.{idx}.{key}", shape))
+    return manifest
 
 
 class Model:
@@ -151,14 +210,6 @@ class Model:
             for key, arr in layer.params().items():
                 out[f"{prefix}.{key}"] = arr
         return out
-
-    def set_parameter(self, name: str, value: np.ndarray) -> None:
-        branch, idx, key = name.split(".")
-        layers = {"vib": self.vib_layers, "ac": self.ac_layers, "head": self.head_layers}[branch]
-        current = getattr(layers[int(idx)], key)
-        if current.shape != value.shape:
-            raise ShapeError(f"parameter {name}: shape {value.shape} != {current.shape}")
-        setattr(layers[int(idx)], key, np.asarray(value, dtype=np.float64))
 
     @staticmethod
     def _run_branch(layers, x, caches):
@@ -201,39 +252,31 @@ class Model:
         """Parameter gradients from the fused softmax + cross-entropy gradient."""
         grads: dict[str, np.ndarray] = {}
 
-        def run_back(branch_name, layers, layer_caches, grad):
+        def run_back(branch_name, layers, layer_caches, grad, input_grad=True):
             for idx in range(len(layers) - 1, -1, -1):
-                grad, pgrads = layers[idx].backward(layer_caches[idx], grad)
+                # a branch starts with a Conv1D on the raw window, whose
+                # gradient nothing reads
+                skip = {} if idx or input_grad else {"input_grad": False}
+                grad, pgrads = layers[idx].backward(layer_caches[idx], grad, **skip)
                 for key, g in pgrads.items():
                     grads[f"{branch_name}.{idx}.{key}"] = g
             return grad
 
         grad = run_back("head", self.head_layers, caches["head"], grad_logits)
         if self.kind == VIBRATION_CNN:
-            run_back("vib", self.vib_layers, caches["vib"], grad)
+            run_back("vib", self.vib_layers, caches["vib"], grad, input_grad=False)
         elif self.kind == ACOUSTIC_CNN_LSTM:
-            run_back("ac", self.ac_layers, caches["ac"], grad)
+            run_back("ac", self.ac_layers, caches["ac"], grad, input_grad=False)
         else:
             split = caches["split"]
-            run_back("vib", self.vib_layers, caches["vib"], grad[..., :split])
-            run_back("ac", self.ac_layers, caches["ac"], grad[..., split:])
+            run_back("vib", self.vib_layers, caches["vib"], grad[..., :split], input_grad=False)
+            run_back("ac", self.ac_layers, caches["ac"], grad[..., split:], input_grad=False)
         return grads
 
 
 def build_model(spec: ModelSpec, rng: Rng) -> Model:
     """Instantiate a network of the requested kind with fresh weights."""
-    vib_layers = ac_layers = None
-    if spec.kind in (VIBRATION_CNN, FUSION):
-        vib_layers, vib_dim = _build_vib_branch(spec, rng)
-    if spec.kind in (ACOUSTIC_CNN_LSTM, FUSION):
-        ac_layers, ac_dim = _build_ac_branch(spec, rng)
-    if spec.kind == VIBRATION_CNN:
-        head_in = vib_dim
-    elif spec.kind == ACOUSTIC_CNN_LSTM:
-        head_in = ac_dim
-    else:
-        head_in = vib_dim + ac_dim
-    return Model(spec, vib_layers, ac_layers, _build_head(spec, head_in, rng))
+    return _instantiate(spec, _layer_plan(spec), lambda cls, sizes: cls.init(*sizes, rng))
 
 
 def build_vibration_model(spec: ModelSpec, rng: Rng) -> Model:
@@ -314,7 +357,12 @@ def save_model(model: Model, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> Model:
-    """Inverse of save_model; round-trips parameters bit-exactly."""
+    """Inverse of save_model; round-trips parameters bit-exactly.
+
+    The header is checked against the spec (field ranges, tensor names and
+    shapes, payload size) before any array is allocated, so a corrupt header
+    cannot ask for more memory than the file itself holds.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(_MAGIC + b"\n"):
@@ -322,28 +370,33 @@ def load_model(path: str | os.PathLike) -> Model:
     header_end = blob.find(b"\nend\n")
     if header_end < 0:
         raise DataError(f"truncated model file {path}: header never ends")
-    payload = blob[header_end + len(b"\nend\n") :]
+    payload = memoryview(blob)[header_end + len(b"\nend\n") :]
     try:
         spec, manifest = _parse_header(blob[len(_MAGIC) + 1 : header_end])
-    except (ValueError, ConfigError) as exc:  # ValueError covers UnicodeDecodeError
+        plan = _layer_plan(spec)
+    except (ValueError, ConfigError, ShapeError) as exc:  # ValueError covers UnicodeDecodeError
         raise DataError(f"model file {path}: corrupt header: {exc}") from exc
-    model = build_model(spec, Rng(0))
-    expected = model.parameters()
-    if [n for n, _ in manifest] != list(expected.keys()):
+    if manifest != _param_manifest(plan):
         raise DataError(f"model file {path}: tensor manifest does not match spec")
+    nbytes = 8 * sum(math.prod(shape) for _, shape in manifest)
+    if nbytes > len(payload):
+        raise DataError(
+            f"truncated model file {path}: {nbytes} payload bytes expected, {len(payload)} found"
+        )
+    if nbytes < len(payload):
+        raise DataError(f"model file {path}: {len(payload) - nbytes} trailing bytes")
 
+    arrays = []
     offset = 0
-    for name, dims in manifest:
-        n = int(np.prod(dims)) if dims else 1
-        nbytes = n * 8
-        if offset + nbytes > len(payload):
-            raise DataError(f"truncated model file {path}: blob for {name} is incomplete")
-        arr = np.frombuffer(payload, dtype="<f8", count=n, offset=offset).reshape(dims)
-        model.set_parameter(name, arr.astype(np.float64))
-        offset += nbytes
-    if offset != len(payload):
-        raise DataError(f"model file {path}: {len(payload) - offset} trailing bytes")
-    return model
+    for _, shape in manifest:
+        n = math.prod(shape)
+        arr = np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
+        arrays.append(arr.reshape(shape).astype(np.float64))
+        offset += 8 * n
+    blobs = iter(arrays)
+    return _instantiate(
+        spec, plan, lambda cls, sizes: cls(*(next(blobs) for _ in _PARAM_SHAPES[cls](*sizes)))
+    )
 
 
 def small_spec(kind: str, num_classes: int = 3, input_len: int = 64) -> ModelSpec:

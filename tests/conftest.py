@@ -1,6 +1,25 @@
-"""Shared test helpers: central finite differences and gradient comparison."""
+"""Shared test helpers: central finite differences and gradient comparison.
 
-import numpy as np
+BLAS runs on one thread: pytest loads this file before anything imports
+numpy, and at these sizes a second OpenBLAS thread costs a core for no gain.
+Subprocesses the tests start inherit the setting.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from faultfusion.model import (  # noqa: E402
+    VIBRATION_CNN,
+    build_model,
+    conv_pool_chain,
+    save_model,
+    small_spec,
+)
+from faultfusion.tensor import Rng  # noqa: E402
 
 
 def central_diff(f, x, h=1e-6):
@@ -45,3 +64,21 @@ def assert_grads_close(analytic, numeric, rtol, atol=1e-8, label=""):
     err = np.abs(analytic - numeric) - (atol + rtol * np.abs(numeric))
     worst = float(err.max()) if err.size else 0.0
     assert worst <= 0.0, f"{label}: gradient mismatch, worst excess {worst:.3e}"
+
+
+def huge_head_header(path):
+    """Rewrite a small vibration model's header to input_len = 10**8, manifest
+    included, so the spec implies a head of several GB over a tiny payload."""
+    save_model(build_model(small_spec(VIBRATION_CNN), Rng(13)), path)
+    blob = path.read_bytes()
+    header_end = blob.index(b"\nend\n")
+    header = blob[:header_end].decode("ascii")
+    old_in, new_in = (conv_pool_chain(n, (5, 3), (2, 2), "vibration")[-1] * 4 for n in (64, 10**8))
+    assert new_in * 8 * 8 >= 200 * 2**20
+    for old, new in (
+        ("input_len=64", f"input_len={10**8}"),
+        (f"tensor head.0.weights {old_in},8", f"tensor head.0.weights {new_in},8"),
+    ):
+        assert header.count(old) == 1
+        header = header.replace(old, new)
+    path.write_bytes(header.encode("ascii") + blob[header_end:])

@@ -2,6 +2,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from conftest import huge_head_header
 
 from faultfusion.cli import main
 from faultfusion.data import read_manifest
@@ -163,6 +164,16 @@ class TestTrain:
         assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
         assert_one_line_error(capsys, "usage error: [model] num_classes")
 
+    @pytest.mark.parametrize(
+        "old,new",
+        [("pool_sizes = 2,2", "pool_sizes = 0,2"), ("dense_units = 8", "dense_units = 0")],
+        ids=["zero_pool", "zero_dense_units"],
+    )
+    def test_out_of_range_model_field_is_usage_error(self, tmp_path, capsys, old, new):
+        config = write_config(tmp_path, TINY_TRAIN.replace(old, new))
+        assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
+        assert_one_line_error(capsys, f"usage error: {new.split()[0]}")
+
     def test_trains_from_generated_manifest(self, tmp_path):
         gen_config = write_config(tmp_path, TINY_SYNTH, "gen.ini")
         data_dir = tmp_path / "dataset"
@@ -278,6 +289,14 @@ class TestInfer:
     def test_fusion_with_both_files(self, tmp_path, capsys):
         model, vib, ac = self._train(tmp_path, kind="fusion")
         assert main(["infer", str(model), "--vibration", str(vib), "--acoustic", str(ac)]) == 0
+
+    def test_huge_head_over_tiny_payload_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "m.fmdl"
+        huge_head_header(path)
+        vib = tmp_path / "v.f32"
+        vib.write_bytes(np.zeros(64, dtype="<f4").tobytes())
+        assert main(["infer", str(path), "--vibration", str(vib)]) == 2
+        assert_one_line_error(capsys, f"data error: truncated model file {path}")
 
     def test_short_file_is_data_error(self, tmp_path):
         model, vib, _ = self._train(tmp_path)

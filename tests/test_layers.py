@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,17 @@ class TestConv1D:
         layer = Conv1D(np.zeros((7, 1, 2)), np.zeros(2))
         with pytest.raises(ShapeError, match="shorter than kernel"):
             layer.forward(np.zeros((6, 1)))
+
+    def test_input_grad_false_keeps_parameter_grads(self):
+        rng = Rng(40)
+        layer = Conv1D.init(7, 1, 8, rng)
+        _, cache = layer.forward(rng.normal((3, 50, 1)))
+        g = rng.normal((3, 44, 8))
+        _, full = layer.backward(cache, g)
+        gx, grads = layer.backward(cache, g, input_grad=False)
+        assert gx is None
+        for name in ("kernels", "bias"):
+            assert grads[name].tobytes() == full[name].tobytes()
 
     def test_against_quadruple_loop(self):
         rng = Rng(3)
@@ -440,6 +452,108 @@ class TestLSTM:
         layer = self._tiny(Rng(11))
         y, _ = layer.forward(np.full((5, 2), 1e6))
         assert np.isfinite(y).all()
+
+
+def _lstm_per_step(layer, x, seq):
+    """The LSTM forward as a per-step loop with fresh arrays, kept as an oracle.
+
+    Same operations in the same order as the layer: z = xW + hU, 1/(1+exp(-z))
+    on i/f/o, tanh on g, c = f*c + i*g, h = o*tanh(c).
+    """
+    xb = x if x.ndim == 3 else x[None]
+    B, T, _ = xb.shape
+    u = layer.units
+    xW = xb @ layer.W + layer.b
+    h = np.zeros((B, u))
+    c = np.zeros((B, u))
+    hs = []
+    for t in range(T):
+        z = xW[:, t, :] + h @ layer.U
+        i = 1.0 / (1.0 + np.exp(-z[:, :u]))
+        f = 1.0 / (1.0 + np.exp(-z[:, u : 2 * u]))
+        g = np.tanh(z[:, 2 * u : 3 * u])
+        o = 1.0 / (1.0 + np.exp(-z[:, 3 * u :]))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs.append(h)
+    y = np.stack(hs, axis=1) if seq else h
+    return y if x.ndim == 3 else y[0]
+
+
+class TestLSTMSlabs:
+    @pytest.mark.parametrize(
+        "shape,seq",
+        [((9, 4), True), ((3, 9, 4), True), ((3, 1, 4), True), ((1, 4), True), ((3, 9, 4), False)],
+        ids=["B1_unbatched", "B3", "B3_T1", "T1_unbatched", "B3_last_state"],
+    )
+    def test_forward_bytes_equal_per_step_formula(self, shape, seq):
+        rng = Rng(30)
+        layer = LSTM.init(4, 5, rng, return_sequences=seq)
+        layer.b = rng.normal(20)  # every gate bias nonzero
+        x = rng.normal(shape) * 2.0
+        y, _ = layer.forward(x)
+        expected = _lstm_per_step(layer, x, seq)
+        assert y.shape == expected.shape
+        assert y.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seq", [True, False])
+    def test_batched_backward_matches_finite_differences(self, seq):
+        rng = Rng(31)
+        layer = LSTM.init(2, 3, rng, return_sequences=seq)
+        layer.b = rng.normal(12) * 0.5
+        x = rng.normal((3, 4, 2))
+        probe = rng.normal((3, 4, 3) if seq else (3, 3))
+
+        def loss():
+            y, _ = layer.forward(x)
+            return float((y * probe).sum())
+
+        _, cache = layer.forward(x)
+        gx, grads = layer.backward(cache, probe)
+        assert_grads_close(gx, central_diff(loss, x), rtol=1e-4, label="lstm B=3 grad_x")
+        for name, arr in (("W", layer.W), ("U", layer.U), ("b", layer.b)):
+            assert_grads_close(
+                grads[name], central_diff(loss, arr), rtol=1e-4, label=f"lstm B=3 grad_{name}"
+            )
+
+    @pytest.mark.parametrize("steps_per_block", [1, 2])
+    def test_backward_independent_of_step_blocking(self, monkeypatch, steps_per_block):
+        rng = Rng(34)
+        layer = LSTM.init(2, 3, rng)
+        x = rng.normal((3, 7, 2))  # T = 7 leaves a short last block at 2 steps
+        probe = rng.normal((3, 7, 3))
+        _, cache = layer.forward(x)
+        gx_one, grads_one = layer.backward(cache, probe)  # one block covers all steps
+        monkeypatch.setattr(layers, "_LSTM_BLOCK", steps_per_block * 3 * 3)
+        gx, grads = layer.backward(cache, probe)
+        assert gx.tobytes() == gx_one.tobytes()
+        for name in ("W", "U", "b"):
+            assert grads[name].tobytes() == grads_one[name].tobytes()
+
+    def test_caches_are_not_shared_across_calls(self):
+        rng = Rng(32)
+        layer = LSTM.init(2, 3, rng)
+        x1, x2 = rng.normal((3, 6, 2)), rng.normal((3, 6, 2))
+        probe = rng.normal((3, 6, 3))
+        _, cache1 = layer.forward(x1)
+        gx_alone, grads_alone = layer.backward(cache1, probe)
+        _, cache1 = layer.forward(x1)
+        layer.forward(x2)
+        gx, grads = layer.backward(cache1, probe)
+        assert np.array_equal(gx, gx_alone)
+        for name in ("W", "U", "b"):
+            assert np.array_equal(grads[name], grads_alone[name])
+
+    def test_saturated_input_is_silent_and_restores_error_state(self):
+        layer = LSTM.init(2, 3, Rng(33))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, cache = layer.forward(np.full((2, 5, 2), 1e6))
+            assert np.geterr() == before
+            gx, grads = layer.backward(cache, np.ones((2, 5, 3)))
+        assert np.isfinite(y).all() and np.isfinite(gx).all()
+        assert all(np.isfinite(g).all() for g in grads.values())
 
 
 class TestFlattenConcat:

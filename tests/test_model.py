@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import assert_grads_close, sampled_central_diff
+from conftest import assert_grads_close, huge_head_header, sampled_central_diff
 
 from faultfusion.errors import ConfigError, DataError, ShapeError
 from faultfusion.model import (
@@ -259,4 +261,48 @@ class TestSerialization:
         bad = header.replace(first_tensor, f"tensor {name} 1,{shape}")
         path.write_bytes(bad.encode("ascii") + blob[header_end:])
         with pytest.raises(FaultFusionError):
+            load_model(path)
+
+
+class TestLoadValidatesBeforeAllocating:
+    def test_huge_head_over_tiny_payload(self, tmp_path):
+        path = tmp_path / "m.fmdl"
+        huge_head_header(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+    def test_manifest_shape_checked_against_spec(self, tmp_path):
+        path = tmp_path / "m.fmdl"
+        save_model(build_model(small_spec(VIBRATION_CNN), Rng(14)), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"tensor vib.0.bias 3\n", b"tensor vib.0.bias 4\n"))
+        with pytest.raises(DataError, match="manifest does not match"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ("pool_sizes=1,2",),
+            ("conv_kernels=0,3",),
+            ("dense_units=0",),
+            ("conv_channels=", "conv_kernels=", "pool_sizes="),
+        ],
+        ids=["pool_1", "kernel_0", "dense_0", "no_conv_block"],
+    )
+    def test_out_of_range_spec_field(self, tmp_path, fields):
+        path = tmp_path / "m.fmdl"
+        save_model(build_model(small_spec(VIBRATION_CNN), Rng(15)), path)
+        blob = path.read_bytes()
+        for field in fields:
+            start = blob.index(f"\n{field.split('=')[0]}=".encode()) + 1
+            end = blob.index(b"\n", start)
+            blob = blob[:start] + field.encode() + blob[end:]
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match="corrupt header"):
             load_model(path)
