@@ -47,21 +47,17 @@ from .model import (
     VIBRATION_CNN,
     Model,
     ModelSpec,
-    build_acoustic_model,
-    build_fusion_model,
     build_model,
-    build_vibration_model,
     load_model,
     save_model,
 )
-from .tensor import Rng, glorot_uniform, matmul, rng_new
+from .tensor import Rng, glorot_uniform
 from .training import (
     AdamState,
     TrainConfig,
     TrainReport,
     adam_step,
     batch_cross_entropy,
-    cross_entropy,
     evaluate,
     fit,
     render_report,
@@ -103,20 +99,15 @@ __all__ = [
     "WindowedDataset",
     "adam_step",
     "batch_cross_entropy",
-    "build_acoustic_model",
     "build_dataset",
-    "build_fusion_model",
     "build_model",
-    "build_vibration_model",
     "concat",
-    "cross_entropy",
     "default_class_names",
     "evaluate",
     "fit",
     "glorot_uniform",
     "load_model",
     "load_recording",
-    "matmul",
     "normalize_window",
     "per_class_metrics",
     "read_manifest",
@@ -124,7 +115,6 @@ __all__ = [
     "render_csv",
     "render_report",
     "render_table",
-    "rng_new",
     "save_model",
     "segment",
     "softmax",

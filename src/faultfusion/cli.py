@@ -17,12 +17,11 @@ import sys
 import numpy as np
 
 from . import __version__
+from .codec import parsers
 from .data import (
     ACOUSTIC,
-    AC_ONLY,
-    PAIRED,
+    BRANCH_MODES,
     VIBRATION,
-    VIB_ONLY,
     Manifest,
     SynthSpec,
     build_dataset,
@@ -37,12 +36,11 @@ from .data import (
 from .errors import ConfigError, DataError, FaultFusionError, NumericError, ShapeError
 from .metrics import per_class_metrics, render_csv, render_table
 from .model import (
-    ACOUSTIC_CNN_LSTM,
-    FUSION,
     MODEL_KINDS,
-    VIBRATION_CNN,
+    SENSORS,
     ModelSpec,
     build_model,
+    kind_branches,
     load_model,
     save_model,
 )
@@ -87,60 +85,19 @@ def _get(cp, section: str, key: str, default, cast=str):
     return default
 
 
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in str(raw).split(",") if v.strip() != "")
+def _section(cp, section: str, cls, **fixed):
+    """A ``cls`` dataclass from the keys of one INI section.
 
-
-def _model_spec_from(cp, kind: str, num_classes: int, input_len: int) -> ModelSpec:
-    base = ModelSpec(kind=kind, num_classes=num_classes, input_len=input_len)
-    return ModelSpec(
-        kind=kind,
-        num_classes=num_classes,
-        input_len=input_len,
-        conv_channels=_get(cp, "model", "conv_channels", base.conv_channels, _int_tuple),
-        conv_kernels=_get(cp, "model", "conv_kernels", base.conv_kernels, _int_tuple),
-        pool_sizes=_get(cp, "model", "pool_sizes", base.pool_sizes, _int_tuple),
-        ac_conv_channels=_get(cp, "model", "ac_conv_channels", base.ac_conv_channels, _int_tuple),
-        ac_conv_kernels=_get(cp, "model", "ac_conv_kernels", base.ac_conv_kernels, _int_tuple),
-        ac_pool_sizes=_get(cp, "model", "ac_pool_sizes", base.ac_pool_sizes, _int_tuple),
-        lstm_units=_get(cp, "model", "lstm_units", base.lstm_units, int),
-        lstm_layers=_get(cp, "model", "lstm_layers", base.lstm_layers, int),
-        dense_units=_get(cp, "model", "dense_units", base.dense_units, int),
-    )
-
-
-def _train_config_from(cp, seed_override: int | None) -> TrainConfig:
-    base = TrainConfig()
-    seed = seed_override if seed_override is not None else _get(cp, "train", "seed", base.seed, int)
-    return TrainConfig(
-        seed=seed,
-        split_ratio=_get(cp, "train", "split_ratio", base.split_ratio, float),
-        batch_size=_get(cp, "train", "batch_size", base.batch_size, int),
-        epochs=_get(cp, "train", "epochs", base.epochs, int),
-        learning_rate=_get(cp, "train", "learning_rate", base.learning_rate, float),
-        beta1=_get(cp, "train", "beta1", base.beta1, float),
-        beta2=_get(cp, "train", "beta2", base.beta2, float),
-        eps=_get(cp, "train", "eps", base.eps, float),
-        split_granularity=_get(cp, "train", "split_granularity", base.split_granularity),
-    )
-
-
-def _synth_spec_from(cp, seed_override: int | None) -> SynthSpec:
-    base = SynthSpec()
-    seed = seed_override if seed_override is not None else _get(cp, "synth", "seed", base.seed, int)
-    return SynthSpec(
-        num_classes=_get(cp, "synth", "num_classes", base.num_classes, int),
-        windows_per_class=_get(cp, "synth", "windows_per_class", base.windows_per_class, int),
-        seed=seed,
-        sample_rate_hz=_get(cp, "synth", "sample_rate_hz", base.sample_rate_hz, float),
-        window_len=_get(cp, "synth", "window_len", base.window_len, int),
-        base_repetition_hz=_get(cp, "synth", "base_repetition_hz", base.base_repetition_hz, float),
-        repetition_step_hz=_get(cp, "synth", "repetition_step_hz", base.repetition_step_hz, float),
-        impulse_amplitude=_get(cp, "synth", "impulse_amplitude", base.impulse_amplitude, float),
-        decay_s=_get(cp, "synth", "decay_s", base.decay_s, float),
-        vib_noise_sigma=_get(cp, "synth", "vib_noise_sigma", base.vib_noise_sigma, float),
-        ac_noise_sigma=_get(cp, "synth", "ac_noise_sigma", base.ac_noise_sigma, float),
-    )
+    A ``fixed`` value that is not None wins over the section's key; a field
+    set by neither keeps its default.
+    """
+    fixed = {name: value for name, value in fixed.items() if value is not None}
+    read = {
+        name: _get(cp, section, name, None, parse)
+        for name, parse in parsers(cls).items()
+        if name not in fixed
+    }
+    return cls(**{name: value for name, value in read.items() if value is not None}, **fixed)
 
 
 def _out_dir(cp, args) -> str:
@@ -153,11 +110,7 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", name).strip("-").lower()
 
 
-def _mode_for_kind(kind: str) -> str:
-    return {VIBRATION_CNN: VIB_ONLY, ACOUSTIC_CNN_LSTM: AC_ONLY, FUSION: PAIRED}[kind]
-
-
-def _dataset_for(cp, args, kind: str, window_len: int):
+def _dataset_for(cp, args, branches: tuple[str, ...], window_len: int):
     """Build the run's dataset from exactly one source: manifest or synth."""
     source = _get(cp, "data", "source", None)
     manifest_path = getattr(args, "manifest", None) or _get(cp, "data", "manifest", None)
@@ -171,20 +124,20 @@ def _dataset_for(cp, args, kind: str, window_len: int):
         manifest = read_manifest(manifest_path)
         return build_dataset(
             manifest,
-            _mode_for_kind(kind),
+            BRANCH_MODES[branches],
             window_len=window_len,
             sample_rate_hz=_get(cp, "data", "sample_rate_hz", 42000.0, float),
         )
     if source == "synth":
         from .data import synth_dataset
 
-        return synth_dataset(_synth_spec_from(cp, getattr(args, "seed", None)))
+        return synth_dataset(_section(cp, "synth", SynthSpec, seed=getattr(args, "seed", None)))
     raise ConfigError(f"unknown data source {source!r} (expected manifest or synth)")
 
 
 def cmd_generate(args) -> int:
     cp = _read_config(args.config)
-    spec = _synth_spec_from(cp, args.seed)
+    spec = _section(cp, "synth", SynthSpec, seed=args.seed)
     out = _out_dir(cp, args)
     root = Rng(spec.seed)
     rows = []
@@ -213,18 +166,23 @@ def cmd_train(args) -> int:
     kind = args.kind if args.kind is not None else _get(cp, "model", "kind", None)
     if kind is None:
         raise ConfigError("model kind required: pass --kind or set [model] kind")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
     default_len = _get(cp, "synth", "window_len", 1000, int)
     window_len = _get(cp, "data", "window_len", default_len, int)
-    dataset = _dataset_for(cp, args, kind, window_len)
+    dataset = _dataset_for(cp, args, kind_branches(kind), window_len)
     declared = _get(cp, "model", "num_classes", None, int)
     if declared is not None and declared != dataset.num_classes:
         raise DataError(
             f"[model] num_classes={declared} but the dataset has {dataset.num_classes}"
         )
-    spec = _model_spec_from(cp, kind, dataset.num_classes, dataset.window_len)
-    config = _train_config_from(cp, args.seed)
+    spec = _section(
+        cp,
+        "model",
+        ModelSpec,
+        kind=kind,
+        num_classes=dataset.num_classes,
+        input_len=dataset.window_len,
+    )
+    config = _section(cp, "train", TrainConfig, seed=args.seed)
     model = build_model(spec, Rng(config.seed).derive(_INIT_TAG))
     report = fit(model, dataset, config)
 
@@ -248,7 +206,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cp = _read_config(args.config)
     model = load_model(args.model)
-    dataset = _dataset_for(cp, args, model.kind, model.spec.input_len)
+    dataset = _dataset_for(cp, args, kind_branches(model.kind), model.spec.input_len)
     if dataset.num_classes != model.spec.num_classes:
         raise DataError(
             f"model has {model.spec.num_classes} classes, dataset has {dataset.num_classes}"
@@ -257,7 +215,7 @@ def cmd_evaluate(args) -> int:
         raise DataError(
             f"model input length {model.spec.input_len}, dataset windows {dataset.window_len}"
         )
-    config = _train_config_from(cp, None)
+    config = _section(cp, "train", TrainConfig)
     split_seed = args.split_seed if args.split_seed is not None else config.seed
     _, val_idx = stratified_split(dataset, config.split_ratio, split_seed, config.split_granularity)
     accuracy, cm = evaluate(model, dataset, val_idx)
@@ -281,15 +239,12 @@ def _read_window(path: str, input_len: int) -> np.ndarray:
 
 def cmd_infer(args) -> int:
     model = load_model(args.model)
-    need_vib = model.kind in (VIBRATION_CNN, FUSION)
-    need_ac = model.kind in (ACOUSTIC_CNN_LSTM, FUSION)
-    if need_vib and args.vibration is None:
-        raise ConfigError(f"{model.kind} model needs --vibration FILE")
-    if need_ac and args.acoustic is None:
-        raise ConfigError(f"{model.kind} model needs --acoustic FILE")
-    x_vib = _read_window(args.vibration, model.spec.input_len) if need_vib else None
-    x_ac = _read_window(args.acoustic, model.spec.input_len) if need_ac else None
-    probs, _ = model.forward(x_vib=x_vib, x_ac=x_ac)
+    files = {branch: getattr(args, SENSORS[branch]) for branch in kind_branches(model.kind)}
+    for branch, path in files.items():
+        if path is None:
+            raise ConfigError(f"{model.kind} model needs --{SENSORS[branch]} FILE")
+    windows = {f"x_{b}": _read_window(path, model.spec.input_len) for b, path in files.items()}
+    probs, _ = model.forward(**windows)
     if args.class_names is not None:
         names = [n.strip() for n in args.class_names.split(",")]
         if len(names) != model.spec.num_classes:

@@ -27,6 +27,9 @@ MODALITIES = (VIBRATION, ACOUSTIC)
 VIB_ONLY = "vib_only"
 AC_ONLY = "ac_only"
 PAIRED = "paired"
+# The mode of a dataset holding windows for exactly these model branches
+# (WindowedDataset attributes), in model feature order.
+BRANCH_MODES = {("vib",): VIB_ONLY, ("ac",): AC_ONLY, ("vib", "ac"): PAIRED}
 
 DEFAULT_WINDOW_LEN = 1000
 DEFAULT_SAMPLE_RATE = 42000.0

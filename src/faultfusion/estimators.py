@@ -14,9 +14,9 @@ import inspect
 import numpy as np
 
 from . import training
-from .data import PAIRED, VIB_ONLY, AC_ONLY, WindowedDataset, normalize_window
+from .data import BRANCH_MODES, WindowedDataset, normalize_window
 from .errors import DataError, NotFittedError, ShapeError
-from .model import ACOUSTIC_CNN_LSTM, FUSION, VIBRATION_CNN, ModelSpec, build_model
+from .model import ACOUSTIC_CNN_LSTM, FUSION, VIBRATION_CNN, ModelSpec, build_model, kind_branches
 from .tensor import DTYPE, Rng, check_finite
 
 
@@ -80,8 +80,27 @@ class BaseWindowClassifier:
             learning_rate=self.learning_rate,
         )
 
-    def _make_dataset(self, X, y=None) -> WindowedDataset:
+    def _windows(self, X) -> dict[str, np.ndarray]:
+        """Validated [n, T, 1] windows of X for each branch of the estimator's kind."""
         raise NotImplementedError
+
+    def _make_dataset(self, X, y=None) -> WindowedDataset:
+        windows = self._windows(X)
+        if self.normalize:
+            windows = {branch: normalize_window(w) for branch, w in windows.items()}
+        n = next(iter(windows.values())).shape[0]
+        if y is not None:
+            labels = self._encode_labels(validate_labels(y, n))
+        else:
+            labels = np.zeros(n, dtype=np.int64)
+        names = [str(c) for c in self.classes_] if y is not None else ["0", "1"]
+        return WindowedDataset(
+            **{"vib": None, "ac": None, **windows},
+            labels=labels,
+            source_ids=[f"array:{i}" for i in range(n)],
+            class_names=names,
+            mode=BRANCH_MODES[tuple(windows)],
+        )
 
     def _model_spec(self, input_len: int, num_classes: int) -> ModelSpec:
         raise NotImplementedError
@@ -101,13 +120,7 @@ class BaseWindowClassifier:
             raise ShapeError(
                 f"window length {dataset.window_len} != fitted length {self.input_len_}"
             )
-        n = len(dataset)
-        out = np.empty((n, len(self.classes_)), dtype=DTYPE)
-        for start in range(0, n, 256):
-            idx = np.arange(start, min(start + 256, n))
-            probs, _ = self.model_.forward(**training._model_inputs(self.model_, dataset, idx))
-            out[idx] = probs
-        return out
+        return training.predict_proba(self.model_, dataset, np.arange(len(dataset)))
 
     def predict(self, X) -> np.ndarray:
         self._check_fitted()
@@ -144,25 +157,8 @@ class _SingleSensorClassifier(BaseWindowClassifier):
         self.normalize = normalize
         self.seed = seed
 
-    def _make_dataset(self, X, y=None) -> WindowedDataset:
-        X = validate_windows(X)
-        if self.normalize:
-            X = normalize_window(X)
-        n = X.shape[0]
-        if y is not None:
-            labels = self._encode_labels(validate_labels(y, n))
-        else:
-            labels = np.zeros(n, dtype=np.int64)
-        names = [str(c) for c in self.classes_] if y is not None else ["0", "1"]
-        mode = VIB_ONLY if self._kind == VIBRATION_CNN else AC_ONLY
-        return WindowedDataset(
-            vib=X if mode == VIB_ONLY else None,
-            ac=X if mode == AC_ONLY else None,
-            labels=labels,
-            source_ids=[f"array:{i}" for i in range(n)],
-            class_names=names,
-            mode=mode,
-        )
+    def _windows(self, X) -> dict[str, np.ndarray]:
+        return dict.fromkeys(kind_branches(self._kind), validate_windows(X))
 
 
 class VibrationCNNClassifier(_SingleSensorClassifier):
@@ -300,38 +296,19 @@ class FusionClassifier(BaseWindowClassifier):
         self.normalize = normalize
         self.seed = seed
 
-    def _split_modalities(self, X) -> tuple[np.ndarray, np.ndarray]:
+    def _windows(self, X) -> dict[str, np.ndarray]:
         if isinstance(X, (tuple, list)) and len(X) == 2:
             vib = validate_windows(X[0], "X[0] (vibration)")
             ac = validate_windows(X[1], "X[1] (acoustic)")
             if vib.shape[0] != ac.shape[0] or vib.shape[1] != ac.shape[1]:
                 raise ShapeError(f"modalities disagree: {vib.shape} vs {ac.shape}")
-            return vib, ac
-        X = np.asarray(X, dtype=DTYPE)
-        if X.ndim != 3 or X.shape[2] != 2:
-            raise ShapeError(f"fusion X: expected [n, T, 2] or a pair of arrays, got {X.shape}")
-        check_finite(X, "X")
-        return X[:, :, :1].copy(), X[:, :, 1:].copy()
-
-    def _make_dataset(self, X, y=None) -> WindowedDataset:
-        vib, ac = self._split_modalities(X)
-        if self.normalize:
-            vib = normalize_window(vib)
-            ac = normalize_window(ac)
-        n = vib.shape[0]
-        if y is not None:
-            labels = self._encode_labels(validate_labels(y, n))
         else:
-            labels = np.zeros(n, dtype=np.int64)
-        names = [str(c) for c in self.classes_] if y is not None else ["0", "1"]
-        return WindowedDataset(
-            vib=vib,
-            ac=ac,
-            labels=labels,
-            source_ids=[f"array:{i}" for i in range(n)],
-            class_names=names,
-            mode=PAIRED,
-        )
+            X = np.asarray(X, dtype=DTYPE)
+            if X.ndim != 3 or X.shape[2] != 2:
+                raise ShapeError(f"fusion X: expected [n, T, 2] or a pair of arrays, got {X.shape}")
+            check_finite(X, "X")
+            vib, ac = X[:, :, :1].copy(), X[:, :, 1:].copy()
+        return dict(zip(kind_branches(self._kind), (vib, ac)))
 
     def _model_spec(self, input_len: int, num_classes: int) -> ModelSpec:
         return ModelSpec(

@@ -99,17 +99,11 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def flatten_forward(x: np.ndarray) -> np.ndarray:
-    """Row-major flatten of [T, C] -> [T*C] (batched: [B, T, C] -> [B, T*C])."""
-    x = np.asarray(x, dtype=DTYPE)
-    if x.ndim == 2:
-        return x.reshape(-1)
-    return x.reshape(x.shape[0], -1)
-
-
-def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate feature vectors along the last axis."""
-    return np.concatenate([np.asarray(a, dtype=DTYPE), np.asarray(b, dtype=DTYPE)], axis=-1)
+def concat(*parts: np.ndarray) -> np.ndarray:
+    """Concatenate feature vectors along the last axis; one part is returned as is."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([np.asarray(p, dtype=DTYPE) for p in parts], axis=-1)
 
 
 class Conv1D:

@@ -1,9 +1,22 @@
 """The three network architectures: builders, whole-net passes, weight files.
 
-Kinds:
-  vibration_cnn    : Conv/Pool x3 -> Flatten -> Dense+ReLU -> Dense -> softmax
-  acoustic_cnn_lstm: Conv/Pool x2 -> LSTM x2 (sequences) -> Flatten -> same head
-  fusion           : both branches minus head, concat(vib, ac) -> shared head
+Every network is one layer stack per sensor branch; the branches' flattened
+features are concatenated into one shared dense head. A model kind is a row
+of ``BRANCHES``, which names its branches in the order their features reach
+the head:
+
+  vibration_cnn     -> (vib,)
+  acoustic_cnn_lstm -> (ac,)
+  fusion            -> (vib, ac)
+
+  vib : Conv/Pool x3 -> Flatten
+  ac  : Conv/Pool x2 -> LSTM x2 (sequences) -> Flatten
+  head: Dense+ReLU -> Dense -> softmax
+
+A branch name is the ``WindowedDataset`` attribute that holds its windows
+and, after ``x_``, its ``Model.forward`` keyword. A single-branch model hands
+its features to the head as they are. The vibration-first order of fusion
+fixes the row order of the head's first weight matrix in FMDL1 files.
 
 Every conv block is Conv1D -> ReLU -> MaxPool. The softmax is applied by
 ``Model.forward``; ``Model.backward`` expects the gradient w.r.t. the
@@ -15,10 +28,12 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .codec import encode, parsers
+from .data import ACOUSTIC, VIBRATION
 from .errors import ConfigError, DataError, ShapeError
 from .layers import LSTM, Conv1D, Dense, Flatten, MaxPool1D, ReLULayer, concat, softmax
 from .tensor import Rng, check_finite
@@ -26,9 +41,30 @@ from .tensor import Rng, check_finite
 VIBRATION_CNN = "vibration_cnn"
 ACOUSTIC_CNN_LSTM = "acoustic_cnn_lstm"
 FUSION = "fusion"
-MODEL_KINDS = (VIBRATION_CNN, ACOUSTIC_CNN_LSTM, FUSION)
+
+# The sensor branches of each kind, in the order their features reach the head.
+BRANCHES = {VIBRATION_CNN: ("vib",), ACOUSTIC_CNN_LSTM: ("ac",), FUSION: ("vib", "ac")}
+MODEL_KINDS = tuple(BRANCHES)
+
+# Per branch: the sensor it reads (named in messages and by infer's flags),
+# the prefix of its conv fields in ModelSpec, and whether the spec's LSTM
+# stack follows its conv blocks.
+_BRANCH_LAYOUT = {"vib": (VIBRATION, "", False), "ac": (ACOUSTIC, "ac_", True)}
+SENSORS = {branch: layout[0] for branch, layout in _BRANCH_LAYOUT.items()}
+_CONV_FIELDS = ("conv_channels", "conv_kernels", "pool_sizes")
 
 _MAGIC = b"FMDL1"
+# The reference fusion header is 674 bytes; 64 KiB holds the tensor lines of
+# about 700 LSTM layers. A 1 MiB read cost a reference fusion load about 1 ms.
+_MAX_HEADER_BYTES = 1 << 16
+
+
+def kind_branches(kind: str) -> tuple[str, ...]:
+    """The sensor branches of a model kind; ConfigError for an unknown kind."""
+    try:
+        return BRANCHES[kind]
+    except KeyError:
+        raise ConfigError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}") from None
 
 
 @dataclass(frozen=True)
@@ -49,32 +85,22 @@ class ModelSpec:
     dense_units: int = 32
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
+        kind_branches(self.kind)  # rejects an unknown kind
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.input_len < 1:
             raise ConfigError(f"input_len must be >= 1, got {self.input_len}")
-        for name in ("conv_channels", "conv_kernels", "pool_sizes"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
-        for name in ("ac_conv_channels", "ac_conv_kernels", "ac_pool_sizes"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
-        if not (len(self.conv_channels) == len(self.conv_kernels) == len(self.pool_sizes)):
-            raise ConfigError("conv_channels, conv_kernels and pool_sizes must align")
-        if not (
-            len(self.ac_conv_channels) == len(self.ac_conv_kernels) == len(self.ac_pool_sizes)
-        ):
-            raise ConfigError("ac_conv_channels, ac_conv_kernels and ac_pool_sizes must align")
-        for name, low in (
-            ("conv_channels", 1),
-            ("conv_kernels", 1),
-            ("pool_sizes", 2),
-            ("ac_conv_channels", 1),
-            ("ac_conv_kernels", 1),
-            ("ac_pool_sizes", 2),
-        ):
-            if any(v < low for v in getattr(self, name)):
-                raise ConfigError(f"{name} entries must be >= {low}, got {getattr(self, name)}")
+        for _, prefix, _ in _BRANCH_LAYOUT.values():
+            names = [prefix + name for name in _CONV_FIELDS]
+            for name in names:
+                object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+            if len({len(getattr(self, name)) for name in names}) != 1:
+                raise ConfigError(f"{names[0]}, {names[1]} and {names[2]} must align")
+            for name, low in zip(names, (1, 1, 2)):
+                if any(v < low for v in getattr(self, name)):
+                    raise ConfigError(
+                        f"{name} entries must be >= {low}, got {getattr(self, name)}"
+                    )
         for name, low in (("lstm_units", 1), ("lstm_layers", 0), ("dense_units", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -110,10 +136,10 @@ _PARAM_SHAPES = {
 }
 
 
-def _conv_blocks(branch, channels, kernels, pools) -> tuple[list[tuple], int]:
+def _conv_blocks(sensor, channels, kernels, pools) -> tuple[list[tuple], int]:
     """Conv -> ReLU -> MaxPool blocks over a 1-channel input; also the channels out."""
     if not channels:
-        raise ShapeError(f"{branch} branch: at least one conv block is required")
+        raise ShapeError(f"{sensor} branch: at least one conv block is required")
     plan = []
     cin = 1
     for ch, k, p in zip(channels, kernels, pools):
@@ -123,34 +149,24 @@ def _conv_blocks(branch, channels, kernels, pools) -> tuple[list[tuple], int]:
 
 
 def _layer_plan(spec: ModelSpec) -> dict[str, list[tuple]]:
-    """Per branch, each layer as (class, *size args) in build order.
+    """Each branch of the spec's kind, then the head: its layers as
+    (class, *size args) in build order.
 
     Pure arithmetic on the spec: nothing is allocated, so a weight file's
     header can be checked against it before any array exists.
     """
     plan: dict[str, list[tuple]] = {}
     head_in = 0
-    if spec.kind in (VIBRATION_CNN, FUSION):
-        chain = conv_pool_chain(spec.input_len, spec.conv_kernels, spec.pool_sizes, "vibration")
-        layers, cin = _conv_blocks(
-            "vibration", spec.conv_channels, spec.conv_kernels, spec.pool_sizes
-        )
-        plan["vib"] = layers + [(Flatten,)]
-        head_in += chain[-1] * cin
-    if spec.kind in (ACOUSTIC_CNN_LSTM, FUSION):
-        chain = conv_pool_chain(
-            spec.input_len, spec.ac_conv_kernels, spec.ac_pool_sizes, "acoustic"
-        )
-        if chain[-1] < 1:
-            raise ShapeError("acoustic branch: no timesteps left for the LSTM stack")
-        layers, cin = _conv_blocks(
-            "acoustic", spec.ac_conv_channels, spec.ac_conv_kernels, spec.ac_pool_sizes
-        )
-        for _ in range(spec.lstm_layers):
-            layers.append((LSTM, cin, spec.lstm_units))
-            cin = spec.lstm_units
-        plan["ac"] = layers + [(Flatten,)]
-        head_in += chain[-1] * cin
+    for branch in kind_branches(spec.kind):
+        sensor, prefix, lstm = _BRANCH_LAYOUT[branch]
+        channels, kernels, pools = (getattr(spec, prefix + name) for name in _CONV_FIELDS)
+        steps = conv_pool_chain(spec.input_len, kernels, pools, sensor)[-1]
+        layers, width = _conv_blocks(sensor, channels, kernels, pools)
+        for _ in range(spec.lstm_layers if lstm else 0):
+            layers.append((LSTM, width, spec.lstm_units))
+            width = spec.lstm_units
+        plan[branch] = layers + [(Flatten,)]
+        head_in += steps * width
     plan["head"] = [
         (Dense, head_in, spec.dense_units),
         (ReLULayer,),
@@ -161,54 +177,50 @@ def _layer_plan(spec: ModelSpec) -> dict[str, list[tuple]]:
 
 def _instantiate(spec: ModelSpec, plan: dict[str, list[tuple]], make) -> "Model":
     """A Model whose parameterised layers come from ``make(cls, sizes)``."""
-    branches = {
-        branch: [
-            make(cls, sizes) if cls in _PARAM_SHAPES else cls(*sizes) for cls, *sizes in layers
-        ]
-        for branch, layers in plan.items()
-    }
-    return Model(spec, branches.get("vib"), branches.get("ac"), branches["head"])
+    return Model(
+        spec,
+        {
+            stack: [
+                make(cls, sizes) if cls in _PARAM_SHAPES else cls(*sizes) for cls, *sizes in layers
+            ]
+            for stack, layers in plan.items()
+        },
+    )
 
 
 def _param_manifest(plan: dict[str, list[tuple]]) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter, in ``Model.parameters()`` order."""
     manifest = []
-    for branch, layers in plan.items():
+    for stack, layers in plan.items():
         for idx, (cls, *sizes) in enumerate(layers):
             if cls in _PARAM_SHAPES:
                 for key, shape in _PARAM_SHAPES[cls](*sizes).items():
-                    manifest.append((f"{branch}.{idx}.{key}", shape))
+                    manifest.append((f"{stack}.{idx}.{key}", shape))
     return manifest
 
 
 class Model:
-    """An instantiated network: branch layer stacks plus the dense head."""
+    """An instantiated network: a layer stack per branch of its kind, then the head."""
 
-    def __init__(self, spec: ModelSpec, vib_layers, ac_layers, head_layers):
+    def __init__(self, spec: ModelSpec, stacks: dict[str, list]):
         self.spec = spec
-        self.vib_layers = vib_layers
-        self.ac_layers = ac_layers
-        self.head_layers = head_layers
+        self.stacks = stacks  # the kind's branches in feature order, then "head"
+
+    vib_layers = property(lambda self: self.stacks.get("vib"))
+    ac_layers = property(lambda self: self.stacks.get("ac"))
+    head_layers = property(lambda self: self.stacks["head"])
 
     @property
     def kind(self) -> str:
         return self.spec.kind
 
-    def _named_layers(self):
-        for branch, layers in (
-            ("vib", self.vib_layers or []),
-            ("ac", self.ac_layers or []),
-            ("head", self.head_layers),
-        ):
-            for idx, layer in enumerate(layers):
-                yield f"{branch}.{idx}", layer
-
     def parameters(self) -> dict[str, np.ndarray]:
         """Ordered mapping of parameter path -> live array (mutated in place)."""
         out: dict[str, np.ndarray] = {}
-        for prefix, layer in self._named_layers():
-            for key, arr in layer.params().items():
-                out[f"{prefix}.{key}"] = arr
+        for stack, layers in self.stacks.items():
+            for idx, layer in enumerate(layers):
+                for key, arr in layer.params().items():
+                    out[f"{stack}.{idx}.{key}"] = arr
         return out
 
     @staticmethod
@@ -224,26 +236,20 @@ class Model:
 
         Returns (probs, caches); probs is [C] or [B, C].
         """
-        if self.kind == VIBRATION_CNN:
-            if x_vib is None:
-                raise DataError("vibration model requires vibration input")
-            caches: dict = {"vib": []}
-            feat = self._run_branch(self.vib_layers, x_vib, caches["vib"])
-        elif self.kind == ACOUSTIC_CNN_LSTM:
-            if x_ac is None:
-                raise DataError("acoustic model requires acoustic input")
-            caches = {"ac": []}
-            feat = self._run_branch(self.ac_layers, x_ac, caches["ac"])
-        else:
-            if x_vib is None or x_ac is None:
-                raise DataError("fusion requires both inputs")
-            caches = {"vib": [], "ac": []}
-            feat_v = self._run_branch(self.vib_layers, x_vib, caches["vib"])
-            feat_a = self._run_branch(self.ac_layers, x_ac, caches["ac"])
-            caches["split"] = feat_v.shape[-1]
-            feat = concat(feat_v, feat_a)
+        inputs = {"vib": x_vib, "ac": x_ac}
+        branches = kind_branches(self.kind)
+        if any(inputs[branch] is None for branch in branches):
+            both = "both " if len(branches) > 1 else ""
+            sensors = " and ".join(SENSORS[branch] for branch in branches)
+            raise DataError(f"{self.kind} requires {both}{sensors} input")
+        caches: dict = {}
+        feats = [
+            self._run_branch(self.stacks[branch], inputs[branch], caches.setdefault(branch, []))
+            for branch in branches
+        ]
+        caches["widths"] = [feat.shape[-1] for feat in feats]
         caches["head"] = []
-        logits = self._run_branch(self.head_layers, feat, caches["head"])
+        logits = self._run_branch(self.stacks["head"], concat(*feats), caches["head"])
         probs = softmax(logits)
         check_finite(probs, "model output")
         return probs, caches
@@ -252,74 +258,28 @@ class Model:
         """Parameter gradients from the fused softmax + cross-entropy gradient."""
         grads: dict[str, np.ndarray] = {}
 
-        def run_back(branch_name, layers, layer_caches, grad, input_grad=True):
+        def run_back(stack, grad, input_grad=True):
+            layers = self.stacks[stack]
             for idx in range(len(layers) - 1, -1, -1):
                 # a branch starts with a Conv1D on the raw window, whose
                 # gradient nothing reads
                 skip = {} if idx or input_grad else {"input_grad": False}
-                grad, pgrads = layers[idx].backward(layer_caches[idx], grad, **skip)
+                grad, pgrads = layers[idx].backward(caches[stack][idx], grad, **skip)
                 for key, g in pgrads.items():
-                    grads[f"{branch_name}.{idx}.{key}"] = g
+                    grads[f"{stack}.{idx}.{key}"] = g
             return grad
 
-        grad = run_back("head", self.head_layers, caches["head"], grad_logits)
-        if self.kind == VIBRATION_CNN:
-            run_back("vib", self.vib_layers, caches["vib"], grad, input_grad=False)
-        elif self.kind == ACOUSTIC_CNN_LSTM:
-            run_back("ac", self.ac_layers, caches["ac"], grad, input_grad=False)
-        else:
-            split = caches["split"]
-            run_back("vib", self.vib_layers, caches["vib"], grad[..., :split], input_grad=False)
-            run_back("ac", self.ac_layers, caches["ac"], grad[..., split:], input_grad=False)
+        grad = run_back("head", grad_logits)
+        stop = 0
+        for branch, width in zip(kind_branches(self.kind), caches["widths"]):
+            start, stop = stop, stop + width
+            run_back(branch, grad[..., start:stop], input_grad=False)
         return grads
 
 
 def build_model(spec: ModelSpec, rng: Rng) -> Model:
     """Instantiate a network of the requested kind with fresh weights."""
     return _instantiate(spec, _layer_plan(spec), lambda cls, sizes: cls.init(*sizes, rng))
-
-
-def build_vibration_model(spec: ModelSpec, rng: Rng) -> Model:
-    if spec.kind != VIBRATION_CNN:
-        raise ConfigError(f"expected kind {VIBRATION_CNN}, got {spec.kind}")
-    return build_model(spec, rng)
-
-
-def build_acoustic_model(spec: ModelSpec, rng: Rng) -> Model:
-    if spec.kind != ACOUSTIC_CNN_LSTM:
-        raise ConfigError(f"expected kind {ACOUSTIC_CNN_LSTM}, got {spec.kind}")
-    return build_model(spec, rng)
-
-
-def build_fusion_model(spec: ModelSpec, rng: Rng) -> Model:
-    if spec.kind != FUSION:
-        raise ConfigError(f"expected kind {FUSION}, got {spec.kind}")
-    return build_model(spec, rng)
-
-
-def _spec_to_lines(spec: ModelSpec) -> list[str]:
-    lines = []
-    for f in fields(spec):
-        v = getattr(spec, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        lines.append(f"{f.name}={v}")
-    return lines
-
-
-def _spec_from_pairs(pairs: dict[str, str]) -> ModelSpec:
-    kwargs = {}
-    for f in fields(ModelSpec):
-        if f.name not in pairs:
-            raise DataError(f"model file header missing field {f.name!r}")
-        raw = pairs[f.name]
-        if f.name == "kind":
-            kwargs[f.name] = raw
-        elif f.type.startswith("tuple"):
-            kwargs[f.name] = tuple(int(x) for x in raw.split(",") if x != "")
-        else:
-            kwargs[f.name] = int(raw)
-    return ModelSpec(**kwargs)
 
 
 def _parse_header(header: bytes) -> tuple[ModelSpec, list[tuple[str, tuple[int, ...]]]]:
@@ -336,7 +296,11 @@ def _parse_header(header: bytes) -> tuple[ModelSpec, list[tuple[str, tuple[int, 
             pairs[key] = value
         else:
             raise DataError(f"unparseable model header line {line!r}")
-    return _spec_from_pairs(pairs), manifest
+    spec_fields = parsers(ModelSpec)
+    for name in spec_fields:
+        if name not in pairs:
+            raise DataError(f"model file header missing field {name!r}")
+    return ModelSpec(**{name: parse(pairs[name]) for name, parse in spec_fields.items()}), manifest
 
 
 def save_model(model: Model, path: str | os.PathLike) -> None:
@@ -344,7 +308,7 @@ def save_model(model: Model, path: str | os.PathLike) -> None:
     params = model.parameters()
     buf = io.BytesIO()
     buf.write(_MAGIC + b"\n")
-    for line in _spec_to_lines(model.spec):
+    for line in encode(model.spec):
         buf.write(line.encode("ascii") + b"\n")
     for name, arr in params.items():
         shape = ",".join(str(s) for s in arr.shape)
@@ -359,40 +323,41 @@ def save_model(model: Model, path: str | os.PathLike) -> None:
 def load_model(path: str | os.PathLike) -> Model:
     """Inverse of save_model; round-trips parameters bit-exactly.
 
-    The header is checked against the spec (field ranges, tensor names and
-    shapes, payload size) before any array is allocated, so a corrupt header
-    cannot ask for more memory than the file itself holds.
+    The header is read alone, at most ``_MAX_HEADER_BYTES`` of it, and checked
+    against the spec (field ranges, tensor names and shapes) and against the
+    file size before the payload is read or any array is allocated, so a
+    corrupt file cannot ask for more memory than its header and its payload.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(_MAGIC + b"\n"):
-        raise DataError(f"bad magic in {path}: expected {_MAGIC!r}")
-    header_end = blob.find(b"\nend\n")
-    if header_end < 0:
-        raise DataError(f"truncated model file {path}: header never ends")
-    payload = memoryview(blob)[header_end + len(b"\nend\n") :]
-    try:
-        spec, manifest = _parse_header(blob[len(_MAGIC) + 1 : header_end])
-        plan = _layer_plan(spec)
-    except (ValueError, ConfigError, ShapeError) as exc:  # ValueError covers UnicodeDecodeError
-        raise DataError(f"model file {path}: corrupt header: {exc}") from exc
-    if manifest != _param_manifest(plan):
-        raise DataError(f"model file {path}: tensor manifest does not match spec")
-    nbytes = 8 * sum(math.prod(shape) for _, shape in manifest)
-    if nbytes > len(payload):
-        raise DataError(
-            f"truncated model file {path}: {nbytes} payload bytes expected, {len(payload)} found"
-        )
-    if nbytes < len(payload):
-        raise DataError(f"model file {path}: {len(payload) - nbytes} trailing bytes")
-
-    arrays = []
-    offset = 0
-    for _, shape in manifest:
-        n = math.prod(shape)
-        arr = np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
-        arrays.append(arr.reshape(shape).astype(np.float64))
-        offset += 8 * n
+        head = fh.read(_MAX_HEADER_BYTES)
+        if not head.startswith(_MAGIC + b"\n"):
+            raise DataError(f"bad magic in {path}: expected {_MAGIC!r}")
+        header_end = head.find(b"\nend\n")
+        if header_end < 0:
+            raise DataError(f"model file {path}: header never ends (read {len(head)} bytes)")
+        try:
+            spec, manifest = _parse_header(head[len(_MAGIC) + 1 : header_end])
+            plan = _layer_plan(spec)
+        except (ValueError, ConfigError, ShapeError) as exc:  # ValueError covers UnicodeDecodeError
+            raise DataError(f"model file {path}: corrupt header: {exc}") from exc
+        if manifest != _param_manifest(plan):
+            raise DataError(f"model file {path}: tensor manifest does not match spec")
+        nbytes = 8 * sum(math.prod(shape) for _, shape in manifest)
+        payload_start = header_end + len(b"\nend\n")
+        found = os.fstat(fh.fileno()).st_size - payload_start
+        if nbytes > found:
+            raise DataError(
+                f"truncated model file {path}: {nbytes} payload bytes expected, {found} found"
+            )
+        if nbytes < found:
+            raise DataError(f"model file {path}: {found - nbytes} trailing bytes")
+        fh.seek(payload_start)
+        arrays = []
+        for _, shape in manifest:
+            arr = np.fromfile(fh, dtype="<f8", count=math.prod(shape))
+            if arr.size != math.prod(shape):
+                raise DataError(f"model file {path} changed while it was read")
+            arrays.append(arr.reshape(shape).astype(np.float64, copy=False))
     blobs = iter(arrays)
     return _instantiate(
         spec, plan, lambda cls, sizes: cls(*(next(blobs) for _ in _PARAM_SHAPES[cls](*sizes)))

@@ -83,10 +83,6 @@ class Rng:
         return Rng(int(child[0]))
 
 
-def rng_new(seed: int) -> Rng:
-    return Rng(seed)
-
-
 def glorot_uniform(fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
     """Uniform Glorot init on [-L, L], L = sqrt(6 / (fan_in + fan_out)).
 
@@ -96,15 +92,6 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
         raise ShapeError(f"degenerate fan: fan_in={fan_in}, fan_out={fan_out}")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return (rng.uniform((fan_in, fan_out)) * 2.0 - 1.0) * limit
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def check_finite(x: np.ndarray, context: str) -> np.ndarray:

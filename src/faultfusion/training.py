@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .metrics import ConfusionMatrix
-from .model import ACOUSTIC_CNN_LSTM, FUSION, VIBRATION_CNN, Model
+from .model import SENSORS, Model, kind_branches
 from .tensor import DTYPE, Rng
 
 WINDOW_GRANULARITY = "window"
@@ -45,30 +45,27 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.split_granularity not in (WINDOW_GRANULARITY, FILE_GRANULARITY):
             raise ConfigError(f"unknown split granularity {self.split_granularity!r}")
 
 
-def cross_entropy(probs: np.ndarray, true_class: int) -> tuple[float, np.ndarray]:
-    """Loss -ln(probs[true]) and the fused gradient w.r.t. the logits.
+def batch_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean loss -ln(probs[b, target_b]) over a [B, C] batch and its logit gradient.
 
-    The gradient probs - onehot(true) is the derivative of -ln(softmax(z))
-    taken directly in logit space.
+    The gradient (probs - onehot(targets)) / B is the derivative of the mean
+    -ln(softmax(z)) taken directly in logit space.
     """
     probs = np.asarray(probs, dtype=DTYPE)
-    if not 0 <= true_class < probs.shape[-1]:
-        raise DataError(f"true class {true_class} outside [0, {probs.shape[-1]})")
-    loss = -np.log(max(float(probs[true_class]), PROB_FLOOR))
-    grad = probs.copy()
-    grad[true_class] -= 1.0
-    return loss, grad
-
-
-def batch_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean loss over a batch and the matching logit gradient (scaled 1/B)."""
-    probs = np.asarray(probs, dtype=DTYPE)
     targets = np.asarray(targets, dtype=np.int64)
-    B = probs.shape[0]
+    B, C = probs.shape
+    bad = targets[(targets < 0) | (targets >= C)]
+    if bad.size:
+        raise DataError(f"true class {bad[0]} outside [0, {C})")
     picked = np.clip(probs[np.arange(B), targets], PROB_FLOOR, None)
     loss = float(-np.log(picked).mean())
     grad = probs.copy()
@@ -152,18 +149,16 @@ def adam_step(
 
 
 def _model_inputs(model: Model, dataset, idx: np.ndarray) -> dict:
-    kind = model.kind
-    if kind in (VIBRATION_CNN, FUSION):
-        if dataset.vib is None:
-            raise DataError(f"{kind} model needs vibration windows, dataset mode is {dataset.mode}")
-    if kind in (ACOUSTIC_CNN_LSTM, FUSION):
-        if dataset.ac is None:
-            raise DataError(f"{kind} model needs acoustic windows, dataset mode is {dataset.mode}")
+    """``Model.forward`` keywords: the windows ``idx`` of each branch of the model."""
     inputs = {}
-    if kind in (VIBRATION_CNN, FUSION):
-        inputs["x_vib"] = dataset.vib[idx]
-    if kind in (ACOUSTIC_CNN_LSTM, FUSION):
-        inputs["x_ac"] = dataset.ac[idx]
+    for branch in kind_branches(model.kind):
+        windows = getattr(dataset, branch)
+        if windows is None:
+            raise DataError(
+                f"{model.kind} model needs {SENSORS[branch]} windows, "
+                f"dataset mode is {dataset.mode}"
+            )
+        inputs[f"x_{branch}"] = windows[idx]
     return inputs
 
 
@@ -186,6 +181,17 @@ class TrainReport:
         return self.epochs[-1].val_accuracy if self.epochs else 0.0
 
 
+def predict_proba(model: Model, dataset, indices: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Class posteriors [n, C] of the given windows, batch_size windows per forward."""
+    indices = np.asarray(indices, dtype=np.int64)
+    out = np.empty((indices.size, model.spec.num_classes), dtype=DTYPE)
+    for start in range(0, indices.size, batch_size):
+        chunk = indices[start : start + batch_size]
+        # [0] drops the caches at once, not during the next chunk's forward
+        out[start : start + chunk.size] = model.forward(**_model_inputs(model, dataset, chunk))[0]
+    return out
+
+
 def evaluate(
     model: Model,
     dataset,
@@ -196,11 +202,7 @@ def evaluate(
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise DataError("evaluate: empty index set")
-    predicted = np.empty(indices.size, dtype=np.int64)
-    for start in range(0, indices.size, batch_size):
-        chunk = indices[start : start + batch_size]
-        probs, _ = model.forward(**_model_inputs(model, dataset, chunk))
-        predicted[start : start + chunk.size] = probs.argmax(axis=-1)
+    predicted = predict_proba(model, dataset, indices, batch_size).argmax(axis=-1)
     true = dataset.labels[indices]
     cm = ConfusionMatrix.from_pairs(true, predicted, list(dataset.class_names))
     accuracy = float((predicted == true).mean())

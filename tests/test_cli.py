@@ -1,13 +1,22 @@
+import dataclasses
 import textwrap
 
 import numpy as np
 import pytest
 from conftest import huge_head_header
 
-from faultfusion.cli import main
-from faultfusion.data import read_manifest
-from faultfusion.model import VIBRATION_CNN, build_model, load_model, save_model, small_spec
+from faultfusion.cli import _read_config, _section, main
+from faultfusion.data import SynthSpec, read_manifest
+from faultfusion.model import (
+    VIBRATION_CNN,
+    ModelSpec,
+    build_model,
+    load_model,
+    save_model,
+    small_spec,
+)
 from faultfusion.tensor import Rng
+from faultfusion.training import TrainConfig
 
 TINY_SYNTH = """
     [synth]
@@ -90,6 +99,24 @@ class TestGenerate:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["transmogrify"]) == 1
+
+    def test_resonance_and_class_names_reach_the_output(self, tmp_path):
+        plain = write_config(tmp_path, TINY_SYNTH, "plain.ini")
+        tuned = write_config(
+            tmp_path,
+            TINY_SYNTH + "    vib_resonance_base_hz = 100\n    class_names = a,b,c\n",
+            "tuned.ini",
+        )
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["generate", "--config", plain, "--out", str(out_a)]) == 0
+        assert main(["generate", "--config", tuned, "--out", str(out_b)]) == 0
+        assert read_manifest(out_b / "manifest.csv").class_names == ["a", "b", "c"]
+        for modality, changed in (("vibration", True), ("acoustic", False)):
+            pairs = zip(
+                sorted(out_a.glob(f"*_{modality}.f32")), sorted(out_b.glob(f"*_{modality}.f32"))
+            )
+            for a, b in pairs:
+                assert (a.read_bytes() != b.read_bytes()) == changed, (a.name, b.name)
 
 
 class TestTrain:
@@ -174,6 +201,12 @@ class TestTrain:
         assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
         assert_one_line_error(capsys, f"usage error: {new.split()[0]}")
 
+    @pytest.mark.parametrize("line", ["beta1 = 1.0", "beta2 = 1.0", "eps = -1e-8"])
+    def test_out_of_range_adam_setting_is_usage_error(self, tmp_path, capsys, line):
+        config = write_config(tmp_path, TINY_TRAIN.replace("[train]", f"[train]\n    {line}"))
+        assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
+        assert_one_line_error(capsys, f"usage error: {line.split()[0]}")
+
     def test_trains_from_generated_manifest(self, tmp_path):
         gen_config = write_config(tmp_path, TINY_SYNTH, "gen.ini")
         data_dir = tmp_path / "dataset"
@@ -189,6 +222,52 @@ class TestTrain:
              "--manifest", str(data_dir / "manifest.csv")]
         )
         assert code == 0
+
+
+# A value other than the default for every field of each dataclass an INI
+# section reads, so that a field the codec drops shows up as a default.
+NON_DEFAULT = {
+    ModelSpec: dict(
+        kind="fusion", num_classes=4, input_len=500, conv_channels=(4, 5), conv_kernels=(3, 3),
+        pool_sizes=(3, 2), ac_conv_channels=(6,), ac_conv_kernels=(9,), ac_pool_sizes=(5,),
+        lstm_units=7, lstm_layers=1, dense_units=11,
+    ),
+    TrainConfig: dict(
+        seed=5, split_ratio=0.7, batch_size=8, epochs=3, learning_rate=0.01, beta1=0.8,
+        beta2=0.99, eps=1e-6, split_granularity="file",
+    ),
+    SynthSpec: dict(
+        num_classes=3, windows_per_class=4, seed=9, sample_rate_hz=8000.0, window_len=300,
+        base_repetition_hz=40.0, repetition_step_hz=11.0, impulse_amplitude=2.0, decay_s=0.004,
+        vib_resonance_base_hz=100.0, vib_resonance_step_hz=50.0, ac_resonance_base_hz=900.0,
+        ac_resonance_step_hz=70.0, vib_noise_sigma=0.25, ac_noise_sigma=0.75,
+        class_names=("a", "b", "c"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "section,cls", [("model", ModelSpec), ("train", TrainConfig), ("synth", SynthSpec)]
+)
+def test_every_field_reads_from_its_section(tmp_path, section, cls):
+    values = NON_DEFAULT[cls]
+    lines = [f"[{section}]"]
+    for f in dataclasses.fields(cls):
+        assert f.name in values, f"NON_DEFAULT[{cls.__name__}] lacks {f.name}"
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        value = values[f.name]
+        assert value != default, f.name
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        lines.append(f"{f.name} = {text}")
+    parsed = _section(_read_config(write_config(tmp_path, "\n".join(lines) + "\n")), section, cls)
+    for f in dataclasses.fields(cls):
+        assert getattr(parsed, f.name) == values[f.name], f.name
+
+
+def test_every_model_field_survives_the_weight_file(tmp_path):
+    spec = ModelSpec(**NON_DEFAULT[ModelSpec])
+    save_model(build_model(spec, Rng(0)), tmp_path / "m.fmdl")
+    assert load_model(tmp_path / "m.fmdl").spec == spec
 
 
 class TestEvaluate:

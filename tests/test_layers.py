@@ -15,7 +15,6 @@ from faultfusion.layers import (
     MaxPool1D,
     ReLULayer,
     concat,
-    flatten_forward,
     relu,
     relu_backward,
     softmax,
@@ -559,12 +558,12 @@ class TestLSTMSlabs:
 class TestFlattenConcat:
     def test_row_major(self):
         assert np.array_equal(
-            flatten_forward(np.array([[1.0, 2.0], [3.0, 4.0]])), [1.0, 2.0, 3.0, 4.0]
+            Flatten().forward(np.array([[1.0, 2.0], [3.0, 4.0]]))[0], [1.0, 2.0, 3.0, 4.0]
         )
 
     def test_roundtrip(self):
         x = Rng(0).normal((5, 3))
-        assert np.array_equal(flatten_forward(x).reshape(5, 3), x)
+        assert np.array_equal(Flatten().forward(x)[0].reshape(5, 3), x)
 
     def test_layer_backward_restores_shape(self):
         layer = Flatten()

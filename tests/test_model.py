@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -5,15 +6,14 @@ import pytest
 from conftest import assert_grads_close, huge_head_header, sampled_central_diff
 
 from faultfusion.errors import ConfigError, DataError, ShapeError
+from faultfusion.layers import softmax
 from faultfusion.model import (
+    _MAX_HEADER_BYTES,
     ACOUSTIC_CNN_LSTM,
     FUSION,
     VIBRATION_CNN,
     ModelSpec,
-    build_acoustic_model,
-    build_fusion_model,
     build_model,
-    build_vibration_model,
     conv_pool_chain,
     load_model,
     save_model,
@@ -51,7 +51,7 @@ class TestSpecAndChains:
 
 class TestBuilders:
     def test_vibration_output_shape_and_flatten_width(self):
-        model = build_vibration_model(ModelSpec(kind=VIBRATION_CNN), Rng(0))
+        model = build_model(ModelSpec(kind=VIBRATION_CNN), Rng(0))
         probs, _ = model.forward(x_vib=np.zeros((1000, 1)))
         assert probs.shape == (9,)
         assert abs(probs.sum() - 1.0) < 1e-9
@@ -59,34 +59,26 @@ class TestBuilders:
 
     def test_vibration_build_error_short_input(self):
         with pytest.raises(ShapeError, match="conv1"):
-            build_vibration_model(ModelSpec(kind=VIBRATION_CNN, input_len=6), Rng(0))
-
-    def test_kind_check_in_builders(self):
-        with pytest.raises(ConfigError):
-            build_vibration_model(ModelSpec(kind=FUSION), Rng(0))
-        with pytest.raises(ConfigError):
-            build_acoustic_model(ModelSpec(kind=VIBRATION_CNN), Rng(0))
-        with pytest.raises(ConfigError):
-            build_fusion_model(ModelSpec(kind=VIBRATION_CNN), Rng(0))
+            build_model(ModelSpec(kind=VIBRATION_CNN, input_len=6), Rng(0))
 
     def test_acoustic_lstm_input_channels(self):
-        model = build_acoustic_model(ModelSpec(kind=ACOUSTIC_CNN_LSTM), Rng(0))
+        model = build_model(ModelSpec(kind=ACOUSTIC_CNN_LSTM), Rng(0))
         first_lstm = model.ac_layers[6]
         assert first_lstm.W.shape == (32, 256)  # conv out-channels feed the LSTM
         assert model.head_layers[0].weights.shape == (246 * 64, 32)
 
     def test_acoustic_probability_output(self):
-        model = build_acoustic_model(ModelSpec(kind=ACOUSTIC_CNN_LSTM), Rng(1))
+        model = build_model(ModelSpec(kind=ACOUSTIC_CNN_LSTM), Rng(1))
         probs, _ = model.forward(x_ac=Rng(2).normal((1000, 1)))
         assert probs.shape == (9,)
         assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_fusion_concat_width(self):
-        model = build_fusion_model(ModelSpec(kind=FUSION), Rng(0))
+        model = build_model(ModelSpec(kind=FUSION), Rng(0))
         assert model.head_layers[0].weights.shape == (7808 + 15744, 32)
 
     def test_fusion_zeroed_acoustic_branch_ignores_acoustic_input(self):
-        model = build_fusion_model(small_spec(FUSION), Rng(3))
+        model = build_model(small_spec(FUSION), Rng(3))
         for name, arr in model.parameters().items():
             if name.startswith("ac."):
                 arr[:] = 0.0
@@ -96,7 +88,7 @@ class TestBuilders:
         assert np.array_equal(p1, p2)
 
     def test_fusion_forward_sums_to_one(self):
-        model = build_fusion_model(small_spec(FUSION), Rng(7))
+        model = build_model(small_spec(FUSION), Rng(7))
         probs, _ = model.forward(x_vib=Rng(8).normal((64, 1)), x_ac=Rng(9).normal((64, 1)))
         assert abs(probs.sum() - 1.0) < 1e-9
 
@@ -120,6 +112,26 @@ class TestForward:
         model = build_model(small_spec(ACOUSTIC_CNN_LSTM), Rng(2))
         probs, _ = model.forward(x_ac=Rng(3).normal((64, 1)))
         assert 0 <= int(probs.argmax()) < 3
+
+    def test_fusion_head_sees_vibration_features_first(self):
+        model = build_model(small_spec(FUSION), Rng(21))
+        xv = Rng(22).normal((3, 64, 1))
+        xa = Rng(23).normal((3, 64, 1))
+
+        def run(layers, x):
+            for layer in layers:
+                x, _ = layer.forward(x)
+            return x
+
+        feats = np.concatenate([run(model.vib_layers, xv), run(model.ac_layers, xa)], axis=-1)
+        probs, _ = model.forward(x_vib=xv, x_ac=xa)
+        assert np.array_equal(probs, softmax(run(model.head_layers, feats)))
+        # FMDL1 files store the tensors in this order
+        assert list(model.parameters()) == [
+            "vib.0.kernels", "vib.0.bias", "vib.3.kernels", "vib.3.bias",
+            "ac.0.kernels", "ac.0.bias", "ac.3.W", "ac.3.U", "ac.3.b", "ac.4.W", "ac.4.U", "ac.4.b",
+            "head.0.weights", "head.0.bias", "head.2.weights", "head.2.bias",
+        ]
 
     def test_batched_matches_single(self):
         model = build_model(small_spec(FUSION), Rng(4))
@@ -276,6 +288,26 @@ class TestLoadValidatesBeforeAllocating:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+    def test_large_sparse_tail_is_rejected_unread(self, tmp_path):
+        path = tmp_path / "m.fmdl"
+        save_model(build_model(small_spec(VIBRATION_CNN), Rng(16)), path)
+        os.truncate(path, path.stat().st_size + 2**28)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="trailing bytes") as info:
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "\n" not in str(info.value)
+        assert peak < 4 * 2**20, peak
+
+    def test_header_end_past_the_read_cap(self, tmp_path):
+        path = tmp_path / "m.fmdl"
+        path.write_bytes(b"FMDL1\n" + b"#" * _MAX_HEADER_BYTES + b"\nend\n")
+        with pytest.raises(DataError, match="header never ends"):
+            load_model(path)
 
     def test_manifest_shape_checked_against_spec(self, tmp_path):
         path = tmp_path / "m.fmdl"

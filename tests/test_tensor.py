@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from faultfusion.errors import NumericError, ShapeError
-from faultfusion.tensor import Rng, check_finite, glorot_uniform, matmul, rng_new
+from faultfusion.tensor import Rng, check_finite, glorot_uniform
 
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = rng_new(42).uniform(100)
-        b = rng_new(42).uniform(100)
+        a = Rng(42).uniform(100)
+        b = Rng(42).uniform(100)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
@@ -80,38 +80,6 @@ class TestGlorot:
             glorot_uniform(0, 4, Rng(0))
         with pytest.raises(ShapeError, match="degenerate fan"):
             glorot_uniform(4, 0, Rng(0))
-
-
-class TestMatmul:
-    def test_identity_left(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert np.array_equal(out, np.array([[11.0]]))
-
-    def test_against_triple_loop(self):
-        rng = Rng(88)
-        a = rng.normal((5, 7))
-        b = rng.normal((7, 3))
-        want = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(7):
-                    want[i, j] += a[i, k] * b[k, j]
-        assert np.abs(matmul(a, b) - want).max() < 1e-12
-
-    def test_identity_both_sides(self):
-        rng = Rng(4)
-        for m, n in [(3, 5), (6, 2), (1, 9)]:
-            a = rng.normal((m, n))
-            assert np.array_equal(matmul(a, np.eye(n)), a)
-            assert np.array_equal(matmul(np.eye(m), a), a)
-
-    def test_shape_mismatch_names_both(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_check_finite():

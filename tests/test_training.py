@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from faultfusion.training import (
     TrainConfig,
     adam_step,
     batch_cross_entropy,
-    cross_entropy,
     evaluate,
     fit,
     render_report,
@@ -44,24 +44,41 @@ def toy_dataset(n_per_class=8, n_classes=2, T=64, seed=0, paired=False, sources_
                            source_ids=sources, class_names=names, mode=VIB_ONLY)
 
 
+def cross_entropy(probs, true_class):
+    """Per-window oracle: loss -ln(max(p[true], floor)), logit gradient p - onehot."""
+    loss = -np.log(max(float(probs[true_class]), 1e-12))
+    grad = probs.copy()
+    grad[true_class] -= 1.0
+    return loss, grad
+
+
+def single_ce(probs, true_class):
+    """batch_cross_entropy at B=1, unbatched."""
+    loss, grad = batch_cross_entropy(probs[None], np.array([true_class]))
+    return loss, grad[0]
+
+
 class TestCrossEntropy:
     def test_uniform_nine_classes(self):
-        loss, _ = cross_entropy(np.full(9, 1.0 / 9.0), 4)
+        loss, _ = single_ce(np.full(9, 1.0 / 9.0), 4)
         assert abs(loss - math.log(9.0)) < 1e-12
 
     def test_half_half(self):
-        loss, _ = cross_entropy(np.array([0.5, 0.5]), 0)
+        loss, _ = single_ce(np.array([0.5, 0.5]), 0)
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_grad_sums_to_zero(self):
         for seed in range(5):
             probs = softmax(Rng(seed).normal(7))
-            _, grad = cross_entropy(probs, seed % 7)
+            _, grad = single_ce(probs, seed % 7)
             assert abs(grad.sum()) < 1e-12
 
     def test_out_of_range_class(self):
-        with pytest.raises(DataError, match="true class"):
-            cross_entropy(np.full(3, 1 / 3), 3)
+        for bad in (3, -1):
+            with pytest.raises(DataError, match="true class"):
+                single_ce(np.full(3, 1 / 3), bad)
+        with pytest.raises(DataError, match="true class 3"):
+            batch_cross_entropy(np.full((2, 3), 1 / 3), np.array([0, 3]))
 
     def test_fused_grad_matches_finite_differences(self):
         logits = Rng(31).normal(6)
@@ -70,7 +87,7 @@ class TestCrossEntropy:
         def loss():
             return float(-np.log(softmax(logits)[target]))
 
-        _, grad = cross_entropy(softmax(logits), target)
+        _, grad = single_ce(softmax(logits), target)
         assert_grads_close(grad, central_diff(loss, logits), rtol=1e-6, label="fused CE")
 
     def test_batch_matches_single(self):
@@ -85,7 +102,7 @@ class TestCrossEntropy:
 
     def test_clipped_log_stays_finite(self):
         probs = np.array([1.0, 0.0])
-        loss, _ = cross_entropy(probs, 1)
+        loss, _ = single_ce(probs, 1)
         assert np.isfinite(loss)
 
 
@@ -298,3 +315,16 @@ class TestEvaluate:
         ds = toy_dataset(4, 2)
         with pytest.raises(DataError, match="empty index"):
             evaluate(model, ds, np.array([], dtype=int))
+
+    def test_each_chunk_is_freed_before_the_next(self):
+        model = build_model(small_spec(VIBRATION_CNN, num_classes=2, input_len=256), Rng(9))
+        ds = toy_dataset(32, 2, T=256)
+        peaks = []
+        for batch_size in (64, 32):  # one chunk, then two
+            tracemalloc.start()
+            try:
+                evaluate(model, ds, np.arange(64), batch_size=batch_size)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 0.75 * peaks[0], peaks
