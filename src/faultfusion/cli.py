@@ -29,6 +29,7 @@ from .data import (
     load_recording,
     normalize_window,
     read_manifest,
+    recording_format,
     segment,
     synth_recording,
     write_manifest,
@@ -88,13 +89,20 @@ def _get(cp, section: str, key: str, default, cast=str):
 def _section(cp, section: str, cls, **fixed):
     """A ``cls`` dataclass from the keys of one INI section.
 
-    A ``fixed`` value that is not None wins over the section's key; a field
-    set by neither keeps its default.
+    A key of the section that names no field of ``cls`` is a ConfigError;
+    keys inherited from [DEFAULT] are not checked. A ``fixed`` value that is
+    not None wins over the section's key; a field set by neither keeps its
+    default.
     """
+    fields = parsers(cls)
+    if cp.has_section(section):
+        for key in cp.options(section):
+            if key not in fields and key not in cp.defaults():
+                raise ConfigError(f"[{section}] {key}: unknown key, not a {cls.__name__} field")
     fixed = {name: value for name, value in fixed.items() if value is not None}
     read = {
         name: _get(cp, section, name, None, parse)
-        for name, parse in parsers(cls).items()
+        for name, parse in fields.items()
         if name not in fixed
     }
     return cls(**{name: value for name, value in read.items() if value is not None}, **fixed)
@@ -232,8 +240,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _read_window(path: str, input_len: int) -> np.ndarray:
-    fmt = "csv" if path.endswith(".csv") else "raw_f32le"
-    rec = load_recording(path, fmt)
+    rec = load_recording(path, recording_format(path))
     return normalize_window(segment(rec, input_len, input_len)[0])
 
 

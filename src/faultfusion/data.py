@@ -108,10 +108,24 @@ def load_recording(
     )
 
 
+def _utf8_lines(fh, path: str):
+    """The lines of a text file opened as UTF-8; DataError at the first byte
+    that does not decode."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def recording_format(path: str) -> str:
+    """The ``load_recording`` format of a file by its name: csv for .csv, else raw_f32le."""
+    return "csv" if path.endswith(".csv") else "raw_f32le"
+
+
 def _read_csv_samples(path: str) -> np.ndarray:
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_utf8_lines(fh, path), start=1):
             text = line.strip()
             if not text:
                 continue
@@ -235,7 +249,7 @@ def read_manifest(path: str | os.PathLike) -> Manifest:
     rows: list[dict] = []
     class_names: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         header = next(reader, None)
         if header != MANIFEST_HEADER:
             raise DataError(f"{path}: expected header {','.join(MANIFEST_HEADER)}")
@@ -259,10 +273,9 @@ def _load_row(manifest: Manifest, row: dict, sample_rate_hz: float) -> Recording
     file_path = row["file_path"]
     if not os.path.isabs(file_path):
         file_path = os.path.join(manifest.base_dir, file_path)
-    fmt = "csv" if file_path.endswith(".csv") else "raw_f32le"
     return load_recording(
         file_path,
-        fmt,
+        recording_format(file_path),
         label=manifest.class_names.index(row["label_name"]),
         modality=row["modality"],
         sample_rate_hz=sample_rate_hz,

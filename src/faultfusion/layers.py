@@ -1,9 +1,10 @@
 """Forward and backward passes for every layer in the three networks.
 
-Layers accept a single window ([T, channels] for sequence layers, [d] for
-dense) or a batch with one extra leading axis. The backward pass of each
-layer returns the gradient w.r.t. its input plus parameter gradients summed
-over the batch; finite-difference tests pin every formula here.
+Layers take and return batches only: [B, T, channels] for sequence layers,
+[B, d] for dense ones. ``Model.forward`` is the one place a single window
+becomes a batch of one. The backward pass of each layer returns the gradient
+w.r.t. its input plus parameter gradients summed over the batch;
+finite-difference tests pin every formula here.
 
 Conventions: cross-correlation (no kernel flip), valid padding, stride 1,
 pool stride == pool size with first-index tie-break, ReLU derivative 0 at 0,
@@ -33,20 +34,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor import DTYPE, Rng, glorot_uniform
-
-
-def _ensure_batch(x: np.ndarray, rank: int, name: str) -> tuple[np.ndarray, bool]:
-    """Promote an unbatched input of the given rank to a batch of one."""
-    x = np.asarray(x, dtype=DTYPE)
-    if x.ndim == rank:
-        return x[None, ...], False
-    if x.ndim == rank + 1:
-        return x, True
-    raise ShapeError(f"{name}: expected rank {rank} or {rank + 1} input, got shape {x.shape}")
-
-
-def _debatch(y: np.ndarray, batched: bool) -> np.ndarray:
-    return y if batched else y[0]
 
 
 # im2col rows per GEMM block: small enough that a block stays in cache, so the
@@ -109,7 +96,7 @@ def concat(*parts: np.ndarray) -> np.ndarray:
 class Conv1D:
     """Valid cross-correlation over time, stride 1.
 
-    y[t, o] = bias[o] + sum_{k, c} x[t + k, c] * kernels[k, c, o]
+    y[b, t, o] = bias[o] + sum_{k, c} x[b, t + k, c] * kernels[k, c, o]
     """
 
     def __init__(self, kernels: np.ndarray, bias: np.ndarray):
@@ -129,42 +116,37 @@ class Conv1D:
         return {"kernels": self.kernels, "bias": self.bias}
 
     def forward(self, x: np.ndarray):
-        xb, batched = _ensure_batch(x, 2, "conv1d")
         K, Cin, Cout = self.kernels.shape
-        B, T, C = xb.shape
+        B, T, C = x.shape
         if C != Cin:
             raise ShapeError(f"conv1d: input has {C} channels, kernels expect {Cin}")
         if T < K:
             raise ShapeError(f"conv1d: window shorter than kernel ({T} < {K})")
-        xb = np.ascontiguousarray(xb)
+        x = np.ascontiguousarray(x)
         flat_kernels = self.kernels.reshape(K * Cin, Cout)
         y = np.empty((B, T - K + 1, Cout), dtype=DTYPE)
-        for rows, cols in _window_blocks(xb, K):
+        for rows, cols in _window_blocks(x, K):
             np.matmul(cols, flat_kernels, out=y[rows].reshape(-1, Cout))
         y += self.bias
-        cache = {"x": xb, "batched": batched}
-        return _debatch(y, batched), cache
+        return y, {"x": x}
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         """(grad_x, parameter grads); grad_x is None when input_grad is False."""
-        xb = cache["x"]
-        batched = cache["batched"]
-        gb, _ = _ensure_batch(grad_out, 2, "conv1d grad")
+        x = cache["x"]
         K, Cin, Cout = self.kernels.shape
-        B, T, _ = xb.shape
+        B, T, _ = x.shape
         To = T - K + 1
-        if gb.shape != (B, To, Cout):
-            raise ShapeError(f"conv1d: grad shape {gb.shape} != {(B, To, Cout)}")
+        if grad_out.shape != (B, To, Cout):
+            raise ShapeError(f"conv1d: grad shape {grad_out.shape} != {(B, To, Cout)}")
         grad_x = None
         if input_grad:
-            grad_x = np.zeros_like(xb)
+            grad_x = np.zeros_like(x)
             for k in range(K):
-                grad_x[:, k : k + To, :] += gb @ self.kernels[k].T
-            grad_x = _debatch(grad_x, batched)
+                grad_x[:, k : k + To, :] += grad_out @ self.kernels[k].T
         grad_k = np.zeros((K * Cin, Cout), dtype=DTYPE)  # rows in [K, Cin] order
-        for rows, cols in _window_blocks(xb, K):
-            grad_k += cols.T @ gb[rows].reshape(-1, Cout)
-        grad_b = gb.sum(axis=(0, 1))
+        for rows, cols in _window_blocks(x, K):
+            grad_k += cols.T @ grad_out[rows].reshape(-1, Cout)
+        grad_b = grad_out.sum(axis=(0, 1))
         grads = {"kernels": grad_k.reshape(K, Cin, Cout), "bias": grad_b}
         return grad_x, grads
 
@@ -181,13 +163,12 @@ class MaxPool1D:
         return {}
 
     def forward(self, x: np.ndarray):
-        xb, batched = _ensure_batch(x, 2, "maxpool")
-        B, T, C = xb.shape
+        B, T, C = x.shape
         p = self.pool_size
         if T < p:
             raise ShapeError(f"maxpool: window shorter than pool ({T} < {p})")
         L = (T // p) * p
-        taps = [xb[:, j:L:p, :] for j in range(p)]
+        taps = [x[:, j:L:p, :] for j in range(p)]
         y = taps[0].copy()
         for tap in taps[1:]:
             np.maximum(y, tap, out=y)
@@ -198,24 +179,22 @@ class MaxPool1D:
         for tap in taps[1:-1]:
             miss &= tap != y
             idx += miss
-        cache = {"idx": idx, "in_shape": xb.shape, "batched": batched}
-        return _debatch(y, batched), cache
+        return y, {"idx": idx, "in_shape": x.shape}
 
     def backward(self, cache, grad_out: np.ndarray):
-        gb, _ = _ensure_batch(grad_out, 2, "maxpool grad")
         B, T, C = cache["in_shape"]
         p = self.pool_size
         To = T // p
-        if gb.shape != (B, To, C):
-            raise ShapeError(f"maxpool: grad shape {gb.shape} != {(B, To, C)}")
+        if grad_out.shape != (B, To, C):
+            raise ShapeError(f"maxpool: grad shape {grad_out.shape} != {(B, To, C)}")
         idx = cache["idx"]
         grad_x = np.zeros((B, T, C), dtype=DTYPE)
         for j in range(p):
-            np.multiply(gb, idx == j, out=grad_x[:, j : To * p : p, :])
+            np.multiply(grad_out, idx == j, out=grad_x[:, j : To * p : p, :])
         # g * False is -0.0 for negative g; adding +0.0 makes every unrouted
         # entry +0.0, so the result is bit-identical to a scatter into zeros
         grad_x += 0.0
-        return _debatch(grad_x, cache["batched"]), {}
+        return grad_x, {}
 
 
 class ReLULayer:
@@ -251,44 +230,38 @@ class Dense:
         return {"weights": self.weights, "bias": self.bias}
 
     def forward(self, x: np.ndarray):
-        xb, batched = _ensure_batch(x, 1, "dense")
-        if xb.shape[1] != self.weights.shape[0]:
+        if x.shape[1] != self.weights.shape[0]:
             raise ShapeError(
-                f"dense: input dim {xb.shape[1]} != weight rows {self.weights.shape[0]}"
+                f"dense: input dim {x.shape[1]} != weight rows {self.weights.shape[0]}"
             )
-        y = xb @ self.weights + self.bias
-        return _debatch(y, batched), {"x": xb, "batched": batched}
+        return x @ self.weights + self.bias, {"x": x}
 
     def backward(self, cache, grad_out: np.ndarray):
-        xb = cache["x"]
-        gb, _ = _ensure_batch(grad_out, 1, "dense grad")
-        if gb.shape != (xb.shape[0], self.weights.shape[1]):
-            raise ShapeError(f"dense: grad shape {gb.shape} does not match forward")
-        grad_w = xb.T @ gb
-        grad_b = gb.sum(axis=0)
-        grad_x = gb @ self.weights.T
-        return _debatch(grad_x, cache["batched"]), {"weights": grad_w, "bias": grad_b}
+        x = cache["x"]
+        if grad_out.shape != (x.shape[0], self.weights.shape[1]):
+            raise ShapeError(f"dense: grad shape {grad_out.shape} does not match forward")
+        grad_w = x.T @ grad_out
+        grad_b = grad_out.sum(axis=0)
+        grad_x = grad_out @ self.weights.T
+        return grad_x, {"weights": grad_w, "bias": grad_b}
 
 
 class Flatten:
-    """Row-major [T, C] -> [T*C]."""
+    """Row-major [B, T, C] -> [B, T*C]."""
 
     def params(self) -> dict[str, np.ndarray]:
         return {}
 
     def forward(self, x: np.ndarray):
-        xb, batched = _ensure_batch(x, 2, "flatten")
-        y = xb.reshape(xb.shape[0], -1)
-        return _debatch(y, batched), {"in_shape": xb.shape, "batched": batched}
+        return x.reshape(x.shape[0], -1), {"in_shape": x.shape}
 
     def backward(self, cache, grad_out: np.ndarray):
-        gb, _ = _ensure_batch(grad_out, 1, "flatten grad")
-        grad_x = gb.reshape(cache["in_shape"])
-        return _debatch(grad_x, cache["batched"]), {}
+        return grad_out.reshape(cache["in_shape"]), {}
 
 
 class LSTM:
-    """Single LSTM layer unrolled over time, h0 = c0 = 0.
+    """Single LSTM layer unrolled over time, h0 = c0 = 0: [B, T, Cin] in,
+    the hidden state of every step [B, T, units] out.
 
     Per step t, with gate blocks (i, f, g, o) in that column order:
         z   = x_t W + h_{t-1} U + b
@@ -297,43 +270,40 @@ class LSTM:
         h_t = o * tanh(c_t)
     """
 
-    def __init__(self, W: np.ndarray, U: np.ndarray, b: np.ndarray, return_sequences: bool = True):
+    def __init__(self, W: np.ndarray, U: np.ndarray, b: np.ndarray):
         self.W = np.asarray(W, dtype=DTYPE)  # [Cin, 4*units]
         self.U = np.asarray(U, dtype=DTYPE)  # [units, 4*units]
         self.b = np.asarray(b, dtype=DTYPE)  # [4*units]
         self.units = self.U.shape[0]
-        self.return_sequences = return_sequences
         if self.W.shape[1] != 4 * self.units or self.b.shape != (4 * self.units,):
             raise ShapeError(
                 f"lstm: W {self.W.shape}, U {self.U.shape}, b {self.b.shape} do not compose"
             )
 
     @classmethod
-    def init(cls, in_channels: int, units: int, rng: Rng, return_sequences: bool = True) -> "LSTM":
+    def init(cls, in_channels: int, units: int, rng: Rng) -> "LSTM":
         W = glorot_uniform(in_channels, 4 * units, rng)
         U = glorot_uniform(units, 4 * units, rng)
         b = np.zeros(4 * units)
         b[units : 2 * units] = 1.0  # forget-gate bias starts open
-        return cls(W, U, b, return_sequences)
+        return cls(W, U, b)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "U": self.U, "b": self.b}
 
-    def forward(self, x: np.ndarray, return_sequences: bool | None = None):
-        xb, batched = _ensure_batch(x, 2, "lstm")
-        B, T, Cin = xb.shape
+    def forward(self, x: np.ndarray):
+        B, T, Cin = x.shape
         if T == 0:
             raise ShapeError("lstm: empty sequence")
         if Cin != self.W.shape[0]:
             raise ShapeError(f"lstm: input has {Cin} channels, W expects {self.W.shape[0]}")
-        seq = self.return_sequences if return_sequences is None else return_sequences
         u = self.units
         # A[t, k] is gate k of step t: z before the loop reaches step t, the
         # activated gate after. The projection writes each gate straight into
         # its slot, one [T, Cin] x [Cin, u] GEMM per (window, gate).
         A = np.empty((T, 4, B, u), dtype=DTYPE)
         W4 = self.W.reshape(Cin, 4, u).transpose(1, 0, 2)
-        np.matmul(xb[:, None], W4, out=A.transpose(2, 1, 0, 3))
+        np.matmul(x[:, None], W4, out=A.transpose(2, 1, 0, 3))
         A += self.b.reshape(4, 1, u)
         C = np.empty((T + 1, B, u), dtype=DTYPE)  # C[t + 1] = c_t, C[0] = c_{-1} = 0
         H = np.empty((T + 1, B, u), dtype=DTYPE)  # H[t + 1] = h_t, H[0] = h_{-1} = 0
@@ -361,25 +331,15 @@ class LSTM:
                 np.add(c, ig, out=c)
                 np.tanh(c, out=tc)
                 np.multiply(o, tc, out=h)
-        cache = {"x": xb, "A": A, "C": C, "TC": TC, "H": H, "seq": seq, "batched": batched}
-        y = H[1:].transpose(1, 0, 2) if seq else H[T]
-        return _debatch(y, batched), cache
+        return H[1:].transpose(1, 0, 2), {"x": x, "A": A, "C": C, "TC": TC, "H": H}
 
     def backward(self, cache, grad_out: np.ndarray):
-        xb, A, C, TC, H = cache["x"], cache["A"], cache["C"], cache["TC"], cache["H"]
-        B, T, Cin = xb.shape
+        x, A, C, TC, H = cache["x"], cache["A"], cache["C"], cache["TC"], cache["H"]
+        B, T, Cin = x.shape
         u = self.units
-        if cache["seq"]:
-            gseq, _ = _ensure_batch(grad_out, 2, "lstm grad")
-            if gseq.shape != (B, T, u):
-                raise ShapeError(f"lstm: grad shape {gseq.shape} != {(B, T, u)}")
-            G = gseq.transpose(1, 0, 2)
-        else:
-            glast, _ = _ensure_batch(grad_out, 1, "lstm grad")
-            if glast.shape != (B, u):
-                raise ShapeError(f"lstm: grad shape {glast.shape} != {(B, u)}")
-            G = np.zeros((T, B, u), dtype=DTYPE)
-            G[-1] = glast
+        if grad_out.shape != (B, T, u):
+            raise ShapeError(f"lstm: grad shape {grad_out.shape} != {(B, T, u)}")
+        G = grad_out.transpose(1, 0, 2)
         # dZ[t] is dL/dz_t as [B, 4u] rows, the layout of the GEMMs below;
         # dZ4 views it gate-major. Per step:
         #   dh_t = G_t + dz_{t+1} U^T      dc_t = dc_{t+1} f_{t+1} + dh_t Q_t
@@ -420,8 +380,8 @@ class LSTM:
                 np.matmul(dz, UT, out=dh)
                 dc *= f
         dZ2 = dZ.reshape(T * B, 4 * u)
-        grad_W = xb.transpose(1, 0, 2).reshape(T * B, Cin).T @ dZ2
+        grad_W = x.transpose(1, 0, 2).reshape(T * B, Cin).T @ dZ2
         grad_U = H[:T].reshape(T * B, u).T @ dZ2
         grad_b = dZ2.sum(axis=0)
         grad_x = (dZ2 @ self.W.T).reshape(T, B, Cin).transpose(1, 0, 2)
-        return _debatch(grad_x, cache["batched"]), {"W": grad_W, "U": grad_U, "b": grad_b}
+        return grad_x, {"W": grad_W, "U": grad_U, "b": grad_b}

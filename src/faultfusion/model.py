@@ -18,9 +18,11 @@ and, after ``x_``, its ``Model.forward`` keyword. A single-branch model hands
 its features to the head as they are. The vibration-first order of fusion
 fixes the row order of the head's first weight matrix in FMDL1 files.
 
-Every conv block is Conv1D -> ReLU -> MaxPool. The softmax is applied by
-``Model.forward``; ``Model.backward`` expects the gradient w.r.t. the
-pre-softmax logits (the fused cross-entropy form).
+Every conv block is Conv1D -> ReLU -> MaxPool. The layers take batches only;
+``Model.forward`` checks its inputs once and runs a single window as a batch
+of one. The softmax is applied by ``Model.forward``; ``Model.backward``
+expects the gradient w.r.t. the pre-softmax logits (the fused cross-entropy
+form).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .codec import encode, parsers
 from .data import ACOUSTIC, VIBRATION
 from .errors import ConfigError, DataError, ShapeError
 from .layers import LSTM, Conv1D, Dense, Flatten, MaxPool1D, ReLULayer, concat, softmax
-from .tensor import Rng, check_finite
+from .tensor import DTYPE, Rng, check_finite
 
 VIBRATION_CNN = "vibration_cnn"
 ACOUSTIC_CNN_LSTM = "acoustic_cnn_lstm"
@@ -234,7 +236,9 @@ class Model:
     def forward(self, x_vib: np.ndarray | None = None, x_ac: np.ndarray | None = None):
         """Class posteriors for one window or a batch of windows.
 
-        Returns (probs, caches); probs is [C] or [B, C].
+        Every branch of the kind gets one [input_len, 1] window, or every one
+        a [B, input_len, 1] batch of the same B; anything else is a
+        ShapeError. Returns (probs, caches); probs is [C] or [B, C].
         """
         inputs = {"vib": x_vib, "ac": x_ac}
         branches = kind_branches(self.kind)
@@ -242,20 +246,33 @@ class Model:
             both = "both " if len(branches) > 1 else ""
             sensors = " and ".join(SENSORS[branch] for branch in branches)
             raise DataError(f"{self.kind} requires {both}{sensors} input")
+        xs = [np.asarray(inputs[branch], dtype=DTYPE) for branch in branches]
+        shape = xs[0].shape
+        window = (self.spec.input_len, 1)
+        if any(x.shape != shape for x in xs) or shape[-2:] != window or len(shape) > 3:
+            got = ", ".join(f"{SENSORS[b]} {x.shape}" for b, x in zip(branches, xs))
+            raise ShapeError(
+                f"{self.kind} takes a {list(window)} window or a [B, {window[0]}, 1] batch,"
+                f" the same for every sensor; got {got}"
+            )
+        single = len(shape) == 2
+        if single:
+            xs = [x[None] for x in xs]
         caches: dict = {}
         feats = [
-            self._run_branch(self.stacks[branch], inputs[branch], caches.setdefault(branch, []))
-            for branch in branches
+            self._run_branch(self.stacks[branch], x, caches.setdefault(branch, []))
+            for branch, x in zip(branches, xs)
         ]
         caches["widths"] = [feat.shape[-1] for feat in feats]
         caches["head"] = []
         logits = self._run_branch(self.stacks["head"], concat(*feats), caches["head"])
         probs = softmax(logits)
         check_finite(probs, "model output")
-        return probs, caches
+        return (probs[0] if single else probs), caches
 
     def backward(self, caches, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients from the fused softmax + cross-entropy gradient."""
+        """Parameter gradients from the fused softmax + cross-entropy gradient,
+        [C] for a single window or [B, C] for a batch."""
         grads: dict[str, np.ndarray] = {}
 
         def run_back(stack, grad, input_grad=True):
@@ -269,11 +286,11 @@ class Model:
                     grads[f"{stack}.{idx}.{key}"] = g
             return grad
 
-        grad = run_back("head", grad_logits)
+        grad = run_back("head", np.atleast_2d(grad_logits))
         stop = 0
         for branch, width in zip(kind_branches(self.kind), caches["widths"]):
             start, stop = stop, stop + width
-            run_back(branch, grad[..., start:stop], input_grad=False)
+            run_back(branch, grad[:, start:stop], input_grad=False)
         return grads
 
 

@@ -43,9 +43,9 @@ def test_criterion_1_gradient_correctness():
     rng = Rng(1001)
 
     # Conv1D (linear)
-    x = rng.normal((12, 2))
+    x = rng.normal((1, 12, 2))
     conv = Conv1D(rng.normal((3, 2, 4)), rng.normal(4))
-    probe = rng.normal((10, 4))
+    probe = rng.normal((1, 10, 4))
 
     def conv_loss():
         y, _ = conv.forward(x)
@@ -58,9 +58,9 @@ def test_criterion_1_gradient_correctness():
     assert_grads_close(grads["bias"], central_diff(conv_loss, conv.bias), LINEAR_RTOL)
 
     # MaxPool (piecewise linear, away from ties)
-    xp = rng.normal((8, 3))
+    xp = rng.normal((1, 8, 3))
     pool = MaxPool1D(2)
-    probe_p = rng.normal((4, 3))
+    probe_p = rng.normal((1, 4, 3))
 
     def pool_loss():
         y, _ = pool.forward(xp)
@@ -71,9 +71,9 @@ def test_criterion_1_gradient_correctness():
     assert_grads_close(gx, central_diff(pool_loss, xp), NONLINEAR_RTOL, label="pool x")
 
     # Dense (linear)
-    xd = rng.normal(6)
+    xd = rng.normal((1, 6))
     dense = Dense(rng.normal((6, 4)), rng.normal(4))
-    probe_d = rng.normal(4)
+    probe_d = rng.normal((1, 4))
 
     def dense_loss():
         y, _ = dense.forward(xd)
@@ -86,20 +86,20 @@ def test_criterion_1_gradient_correctness():
     assert_grads_close(grads["bias"], central_diff(dense_loss, dense.bias), LINEAR_RTOL)
 
     # ReLU + softmax + cross-entropy, fused gradient in logit space
-    xr = rng.normal(5)
+    xr = rng.normal((1, 5))
     head = Dense(rng.normal((5, 4)), rng.normal(4))
     target = 2
 
     def fused_loss():
         z, _ = head.forward(xr)
         z = np.maximum(z, 0.0)
-        return float(-np.log(max(softmax(z)[target], 1e-12)))
+        return float(-np.log(max(softmax(z)[0, target], 1e-12)))
 
     z, cache = head.forward(xr)
     relu_mask = z > 0
     probs = softmax(np.maximum(z, 0.0))
     grad_logits = probs.copy()
-    grad_logits[target] -= 1.0
+    grad_logits[0, target] -= 1.0
     gx, grads = head.backward(cache, grad_logits * relu_mask)
     assert_grads_close(gx, central_diff(fused_loss, xr), NONLINEAR_RTOL, label="fused x")
     assert_grads_close(
@@ -108,9 +108,9 @@ def test_criterion_1_gradient_correctness():
 
     # LSTM at T = 1 and T = 5
     for T in (1, 5):
-        xl = rng.normal((T, 2))
+        xl = rng.normal((1, T, 2))
         lstm = LSTM.init(2, 3, rng)
-        probe_l = rng.normal((T, 3))
+        probe_l = rng.normal((1, T, 3))
 
         def lstm_loss():
             y, _ = lstm.forward(xl)

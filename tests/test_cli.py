@@ -201,6 +201,28 @@ class TestTrain:
         assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
         assert_one_line_error(capsys, f"usage error: {new.split()[0]}")
 
+    @pytest.mark.parametrize(
+        "section,cls", [("model", "ModelSpec"), ("train", "TrainConfig"), ("synth", "SynthSpec")]
+    )
+    def test_unknown_section_key_is_usage_error(self, tmp_path, capsys, section, cls):
+        config = write_config(
+            tmp_path, TINY_TRAIN.replace(f"[{section}]", f"[{section}]\n    learnig_rate = 0.5")
+        )
+        assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
+        assert_one_line_error(
+            capsys, f"usage error: [{section}] learnig_rate: unknown key, not a {cls} field"
+        )
+
+    def test_non_utf8_manifest_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"file_path,modality,label_name,pair_key\na.f32,vibration,H\xff,k\n")
+        config = write_config(tmp_path, TINY_TRAIN)
+        code = main(
+            ["train", "--config", config, "--out", str(tmp_path / "r"), "--manifest", str(manifest)]
+        )
+        assert code == 2
+        assert_one_line_error(capsys, f"data error: {manifest}: not UTF-8 text")
+
     @pytest.mark.parametrize("line", ["beta1 = 1.0", "beta2 = 1.0", "eps = -1e-8"])
     def test_out_of_range_adam_setting_is_usage_error(self, tmp_path, capsys, line):
         config = write_config(tmp_path, TINY_TRAIN.replace("[train]", f"[train]\n    {line}"))
@@ -376,6 +398,14 @@ class TestInfer:
         vib.write_bytes(np.zeros(64, dtype="<f4").tobytes())
         assert main(["infer", str(path), "--vibration", str(vib)]) == 2
         assert_one_line_error(capsys, f"data error: truncated model file {path}")
+
+    def test_non_utf8_csv_recording_is_data_error(self, tmp_path, capsys):
+        model, _, _ = self._train(tmp_path)
+        recording = tmp_path / "v.csv"
+        recording.write_bytes(b"0.5\n1.\xff\n")
+        capsys.readouterr()
+        assert main(["infer", str(model), "--vibration", str(recording)]) == 2
+        assert_one_line_error(capsys, f"data error: {recording}: not UTF-8 text")
 
     def test_short_file_is_data_error(self, tmp_path):
         model, vib, _ = self._train(tmp_path)

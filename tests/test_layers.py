@@ -25,19 +25,19 @@ from faultfusion.tensor import Rng
 class TestConv1D:
     def test_edge_detector_kernel(self):
         layer = Conv1D(np.array([1.0, 0.0, -1.0]).reshape(3, 1, 1), np.zeros(1))
-        y, _ = layer.forward(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1))
-        assert np.array_equal(y[:, 0], [-2.0, -2.0])
+        y, _ = layer.forward(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1))
+        assert np.array_equal(y[0, :, 0], [-2.0, -2.0])
 
     def test_identity_kernel(self):
         layer = Conv1D(np.array([[[1.0]]]), np.zeros(1))
-        x = Rng(0).normal((9, 1))
+        x = Rng(0).normal((1, 9, 1))
         y, _ = layer.forward(x)
         assert np.array_equal(y, x)
 
     def test_window_shorter_than_kernel(self):
         layer = Conv1D(np.zeros((7, 1, 2)), np.zeros(2))
         with pytest.raises(ShapeError, match="shorter than kernel"):
-            layer.forward(np.zeros((6, 1)))
+            layer.forward(np.zeros((1, 6, 1)))
 
     def test_input_grad_false_keeps_parameter_grads(self):
         rng = Rng(40)
@@ -52,7 +52,7 @@ class TestConv1D:
 
     def test_against_quadruple_loop(self):
         rng = Rng(3)
-        x = rng.normal((10, 2))
+        x = rng.normal((1, 10, 2))
         kernels = rng.normal((3, 2, 4))
         bias = rng.normal(4)
         layer = Conv1D(kernels, bias)
@@ -63,28 +63,28 @@ class TestConv1D:
                 acc = bias[o]
                 for k in range(3):
                     for c in range(2):
-                        acc += x[t + k, c] * kernels[k, c, o]
+                        acc += x[0, t + k, c] * kernels[k, c, o]
                 want[t, o] = acc
-        assert np.abs(y - want).max() < 1e-12
+        assert np.abs(y[0] - want).max() < 1e-12
 
     def test_backward_zero_grad(self):
         layer = Conv1D(Rng(1).normal((3, 2, 4)), np.zeros(4))
-        _, cache = layer.forward(Rng(2).normal((10, 2)))
-        gx, grads = layer.backward(cache, np.zeros((8, 4)))
+        _, cache = layer.forward(Rng(2).normal((1, 10, 2)))
+        gx, grads = layer.backward(cache, np.zeros((1, 8, 4)))
         assert not gx.any() and not grads["kernels"].any() and not grads["bias"].any()
 
     def test_backward_identity_kernel(self):
         layer = Conv1D(np.array([[[1.0]]]), np.zeros(1))
-        _, cache = layer.forward(Rng(3).normal((6, 1)))
-        g = Rng(4).normal((6, 1))
+        _, cache = layer.forward(Rng(3).normal((1, 6, 1)))
+        g = Rng(4).normal((1, 6, 1))
         gx, _ = layer.backward(cache, g)
         assert np.array_equal(gx, g)
 
     def test_backward_matches_finite_differences(self):
         rng = Rng(5)
-        x = rng.normal((9, 2))
+        x = rng.normal((1, 9, 2))
         layer = Conv1D(rng.normal((3, 2, 3)), rng.normal(3))
-        probe = rng.normal((7, 3))  # fixed projection makes the output scalar
+        probe = rng.normal((1, 7, 3))  # fixed projection makes the output scalar
 
         def loss():
             y, _ = layer.forward(x)
@@ -107,8 +107,8 @@ class TestConv1D:
         layer = Conv1D(rng.normal((4, 2, 3)), rng.normal(3))
         batched, _ = layer.forward(xs)
         for b in range(5):
-            single, _ = layer.forward(xs[b])
-            assert np.array_equal(batched[b], single)
+            single, _ = layer.forward(xs[b : b + 1])
+            assert np.array_equal(batched[b], single[0])
 
     def test_batched_matches_loop_single_channel(self):
         rng = Rng(7)
@@ -116,8 +116,8 @@ class TestConv1D:
         layer = Conv1D(rng.normal((7, 1, 4)), rng.normal(4))
         batched, _ = layer.forward(xs)
         for b in range(5):
-            single, _ = layer.forward(xs[b])
-            assert np.array_equal(batched[b], single)
+            single, _ = layer.forward(xs[b : b + 1])
+            assert np.array_equal(batched[b], single[0])
 
     # each layout builds the input as a view of a contiguous base array; the
     # finite differences perturb the base, the analytic grad_x is written back
@@ -170,36 +170,36 @@ class TestConv1D:
 
 class TestMaxPool:
     def test_basic(self):
-        y, _ = MaxPool1D(2).forward(np.array([1.0, 3.0, 2.0, 5.0]).reshape(4, 1))
-        assert np.array_equal(y[:, 0], [3.0, 5.0])
+        y, _ = MaxPool1D(2).forward(np.array([1.0, 3.0, 2.0, 5.0]).reshape(1, 4, 1))
+        assert np.array_equal(y[0, :, 0], [3.0, 5.0])
 
     def test_remainder_dropped(self):
-        y, _ = MaxPool1D(2).forward(np.array([1.0, 3.0, 2.0]).reshape(3, 1))
-        assert np.array_equal(y[:, 0], [3.0])
+        y, _ = MaxPool1D(2).forward(np.array([1.0, 3.0, 2.0]).reshape(1, 3, 1))
+        assert np.array_equal(y[0, :, 0], [3.0])
 
     def test_tie_goes_to_first_index(self):
         layer = MaxPool1D(2)
-        _, cache = layer.forward(np.ones((4, 1)))
-        gx, _ = layer.backward(cache, np.array([[1.0], [1.0]]))
-        assert np.array_equal(gx[:, 0], [1.0, 0.0, 1.0, 0.0])
+        _, cache = layer.forward(np.ones((1, 4, 1)))
+        gx, _ = layer.backward(cache, np.ones((1, 2, 1)))
+        assert np.array_equal(gx[0, :, 0], [1.0, 0.0, 1.0, 0.0])
 
     def test_backward_routing(self):
         layer = MaxPool1D(2)
-        _, cache = layer.forward(np.array([1.0, 3.0, 2.0, 5.0]).reshape(4, 1))
-        gx, _ = layer.backward(cache, np.array([[1.0], [1.0]]))
-        assert np.array_equal(gx[:, 0], [0.0, 1.0, 0.0, 1.0])
+        _, cache = layer.forward(np.array([1.0, 3.0, 2.0, 5.0]).reshape(1, 4, 1))
+        gx, _ = layer.backward(cache, np.ones((1, 2, 1)))
+        assert np.array_equal(gx[0, :, 0], [0.0, 1.0, 0.0, 1.0])
 
     def test_backward_zero(self):
         layer = MaxPool1D(3)
-        _, cache = layer.forward(Rng(0).normal((9, 2)))
-        gx, _ = layer.backward(cache, np.zeros((3, 2)))
+        _, cache = layer.forward(Rng(0).normal((1, 9, 2)))
+        gx, _ = layer.backward(cache, np.zeros((1, 3, 2)))
         assert not gx.any()
 
     def test_backward_matches_finite_differences(self):
         rng = Rng(1)
-        x = rng.normal((8, 2))  # continuous draws: ties have measure zero
+        x = rng.normal((1, 8, 2))  # continuous draws: ties have measure zero
         layer = MaxPool1D(2)
-        probe = rng.normal((4, 2))
+        probe = rng.normal((1, 4, 2))
 
         def loss():
             y, _ = layer.forward(x)
@@ -211,17 +211,17 @@ class TestMaxPool:
 
     def test_output_length(self):
         for T, p in [(10, 2), (11, 2), (9, 4), (12, 3)]:
-            y, _ = MaxPool1D(p).forward(Rng(T).normal((T, 1)))
-            assert y.shape[0] == T // p
+            y, _ = MaxPool1D(p).forward(Rng(T).normal((1, T, 1)))
+            assert y.shape[1] == T // p
 
     def test_ties_route_to_first_tied_tap(self):
         # windows of 4 tied at taps {1, 2, 3}, {2, 3}, {0, 3}, {0, 1, 2, 3}
         x = np.array([0, 5, 5, 5, 1, 0, 7, 7, 2, 1, 0, 2, 3, 3, 3, 3], dtype=float)
         layer = MaxPool1D(4)
-        y, cache = layer.forward(x.reshape(16, 1))
-        assert np.array_equal(y[:, 0], [5.0, 7.0, 2.0, 3.0])
-        gx, _ = layer.backward(cache, np.ones((4, 1)))
-        assert np.flatnonzero(gx[:, 0]).tolist() == [1, 6, 8, 12]
+        y, cache = layer.forward(x.reshape(1, 16, 1))
+        assert np.array_equal(y[0, :, 0], [5.0, 7.0, 2.0, 3.0])
+        gx, _ = layer.backward(cache, np.ones((1, 4, 1)))
+        assert np.flatnonzero(gx[0, :, 0]).tolist() == [1, 6, 8, 12]
 
     @staticmethod
     def _argmax_pool(x, p, grad_out):
@@ -277,7 +277,7 @@ class TestReLU:
 
     def test_layer_wrapper(self):
         layer = ReLULayer()
-        x = Rng(3).normal((4, 2))
+        x = Rng(3).normal((1, 4, 2))
         y, cache = layer.forward(x)
         assert np.array_equal(y, relu(x))
         gx, _ = layer.backward(cache, np.ones_like(x))
@@ -287,25 +287,25 @@ class TestReLU:
 class TestDense:
     def test_identity_weights(self):
         layer = Dense(np.eye(4), np.zeros(4))
-        x = Rng(0).normal(4)
+        x = Rng(0).normal((1, 4))
         y, _ = layer.forward(x)
         assert np.array_equal(y, x)
 
     def test_hand_case(self):
         layer = Dense(np.array([[1.0], [1.0]]), np.array([3.0]))
-        y, _ = layer.forward(np.array([1.0, 2.0]))
-        assert np.array_equal(y, [6.0])
+        y, _ = layer.forward(np.array([[1.0, 2.0]]))
+        assert np.array_equal(y, [[6.0]])
 
     def test_dimension_mismatch(self):
         layer = Dense(np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(ShapeError, match="input dim"):
-            layer.forward(np.zeros(4))
+            layer.forward(np.zeros((1, 4)))
 
     def test_backward_matches_finite_differences(self):
         rng = Rng(1)
-        x = rng.normal(5)
+        x = rng.normal((1, 5))
         layer = Dense(rng.normal((5, 3)), rng.normal(3))
-        probe = rng.normal(3)
+        probe = rng.normal((1, 3))
 
         def loss():
             y, _ = layer.forward(x)
@@ -345,14 +345,14 @@ class TestSoftmax:
 
 
 class TestLSTM:
-    def _tiny(self, rng, cin=2, units=3, seq=True):
-        return LSTM.init(cin, units, rng, return_sequences=seq)
+    def _tiny(self, rng, cin=2, units=3):
+        return LSTM.init(cin, units, rng)
 
     def test_zero_parameters_emit_zero(self):
         layer = LSTM(np.zeros((2, 12)), np.zeros((3, 12)), np.zeros(12))
-        y, _ = layer.forward(Rng(0).normal((7, 2)))
+        y, _ = layer.forward(Rng(0).normal((1, 7, 2)))
         assert not y.any()
-        assert y.shape == (7, 3)
+        assert y.shape == (1, 7, 3)
 
     def test_hand_scalar_recurrence(self):
         # units = 1, Cin = 1, fixed scalar weights, T = 2; evaluated step by
@@ -360,7 +360,7 @@ class TestLSTM:
         W = np.array([[0.5, -0.3, 0.8, 0.2]])
         U = np.array([[0.1, 0.4, -0.2, 0.3]])
         b = np.array([0.05, 1.0, -0.1, 0.0])
-        x = np.array([[0.7], [-1.2]])
+        x = np.array([[[0.7], [-1.2]]])
         layer = LSTM(W, U, b)
         y, _ = layer.forward(x)
 
@@ -377,35 +377,26 @@ class TestLSTM:
             c = sig(zf) * c + sig(zi) * math.tanh(zg)
             h = sig(zo) * math.tanh(c)
             hs.append(h)
-        assert np.allclose(y[:, 0], hs, rtol=0, atol=1e-14)
-
-    def test_sequence_and_final_state_agree(self):
-        layer = self._tiny(Rng(1))
-        x = Rng(2).normal((6, 2))
-        seq, _ = layer.forward(x, return_sequences=True)
-        last, _ = layer.forward(x, return_sequences=False)
-        assert seq.shape == (6, 3)
-        assert last.shape == (3,)
-        assert np.array_equal(seq[-1], last)
+        assert np.allclose(y[0, :, 0], hs, rtol=0, atol=1e-14)
 
     def test_empty_sequence(self):
         layer = self._tiny(Rng(3))
         with pytest.raises(ShapeError, match="empty sequence"):
-            layer.forward(np.zeros((0, 2)))
+            layer.forward(np.zeros((1, 0, 2)))
 
     def test_backward_zero_grad(self):
         layer = self._tiny(Rng(4))
-        _, cache = layer.forward(Rng(5).normal((5, 2)))
-        gx, grads = layer.backward(cache, np.zeros((5, 3)))
+        _, cache = layer.forward(Rng(5).normal((1, 5, 2)))
+        gx, grads = layer.backward(cache, np.zeros((1, 5, 3)))
         assert not gx.any()
         assert all(not g.any() for g in grads.values())
 
     @pytest.mark.parametrize("T,rtol", [(1, 1e-5), (5, 1e-4)])
     def test_backward_matches_finite_differences(self, T, rtol):
         rng = Rng(6 + T)
-        x = rng.normal((T, 2))
+        x = rng.normal((1, T, 2))
         layer = self._tiny(rng)
-        probe = rng.normal((T, 3))
+        probe = rng.normal((1, T, 3))
 
         def loss():
             y, _ = layer.forward(x)
@@ -419,28 +410,13 @@ class TestLSTM:
                 grads[name], central_diff(loss, arr), rtol=rtol, label=f"lstm T={T} grad_{name}"
             )
 
-    def test_final_state_backward_matches_finite_differences(self):
-        rng = Rng(20)
-        x = rng.normal((4, 2))
-        layer = self._tiny(rng, seq=False)
-        probe = rng.normal(3)
-
-        def loss():
-            y, _ = layer.forward(x)
-            return float((y * probe).sum())
-
-        _, cache = layer.forward(x)
-        gx, grads = layer.backward(cache, probe)
-        assert_grads_close(gx, central_diff(loss, x), rtol=1e-4, label="lstm last grad_x")
-        assert_grads_close(grads["W"], central_diff(loss, layer.W), rtol=1e-4, label="lstm last W")
-
     def test_batched_matches_loop(self):
         layer = self._tiny(Rng(9))
         xs = Rng(10).normal((4, 6, 2))
         batched, _ = layer.forward(xs)
         for b in range(4):
-            single, _ = layer.forward(xs[b])
-            assert np.abs(batched[b] - single).max() < 1e-15
+            single, _ = layer.forward(xs[b : b + 1])
+            assert np.abs(batched[b] - single[0]).max() < 1e-15
 
     def test_forget_bias_initialized_open(self):
         layer = LSTM.init(2, 3, Rng(0))
@@ -449,20 +425,19 @@ class TestLSTM:
 
     def test_saturated_inputs_stay_finite(self):
         layer = self._tiny(Rng(11))
-        y, _ = layer.forward(np.full((5, 2), 1e6))
+        y, _ = layer.forward(np.full((1, 5, 2), 1e6))
         assert np.isfinite(y).all()
 
 
-def _lstm_per_step(layer, x, seq):
+def _lstm_per_step(layer, x):
     """The LSTM forward as a per-step loop with fresh arrays, kept as an oracle.
 
     Same operations in the same order as the layer: z = xW + hU, 1/(1+exp(-z))
     on i/f/o, tanh on g, c = f*c + i*g, h = o*tanh(c).
     """
-    xb = x if x.ndim == 3 else x[None]
-    B, T, _ = xb.shape
+    B, T, _ = x.shape
     u = layer.units
-    xW = xb @ layer.W + layer.b
+    xW = x @ layer.W + layer.b
     h = np.zeros((B, u))
     c = np.zeros((B, u))
     hs = []
@@ -475,33 +450,31 @@ def _lstm_per_step(layer, x, seq):
         c = f * c + i * g
         h = o * np.tanh(c)
         hs.append(h)
-    y = np.stack(hs, axis=1) if seq else h
-    return y if x.ndim == 3 else y[0]
+    return np.stack(hs, axis=1)
 
 
 class TestLSTMSlabs:
     @pytest.mark.parametrize(
-        "shape,seq",
-        [((9, 4), True), ((3, 9, 4), True), ((3, 1, 4), True), ((1, 4), True), ((3, 9, 4), False)],
-        ids=["B1_unbatched", "B3", "B3_T1", "T1_unbatched", "B3_last_state"],
+        "shape",
+        [(1, 9, 4), (3, 9, 4), (3, 1, 4), (1, 1, 4)],
+        ids=["B1_unbatched", "B3", "B3_T1", "T1_unbatched"],
     )
-    def test_forward_bytes_equal_per_step_formula(self, shape, seq):
+    def test_forward_bytes_equal_per_step_formula(self, shape):
         rng = Rng(30)
-        layer = LSTM.init(4, 5, rng, return_sequences=seq)
+        layer = LSTM.init(4, 5, rng)
         layer.b = rng.normal(20)  # every gate bias nonzero
         x = rng.normal(shape) * 2.0
         y, _ = layer.forward(x)
-        expected = _lstm_per_step(layer, x, seq)
+        expected = _lstm_per_step(layer, x)
         assert y.shape == expected.shape
         assert y.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("seq", [True, False])
-    def test_batched_backward_matches_finite_differences(self, seq):
+    def test_batched_backward_matches_finite_differences(self):
         rng = Rng(31)
-        layer = LSTM.init(2, 3, rng, return_sequences=seq)
+        layer = LSTM.init(2, 3, rng)
         layer.b = rng.normal(12) * 0.5
         x = rng.normal((3, 4, 2))
-        probe = rng.normal((3, 4, 3) if seq else (3, 3))
+        probe = rng.normal((3, 4, 3))
 
         def loss():
             y, _ = layer.forward(x)
@@ -558,16 +531,16 @@ class TestLSTMSlabs:
 class TestFlattenConcat:
     def test_row_major(self):
         assert np.array_equal(
-            Flatten().forward(np.array([[1.0, 2.0], [3.0, 4.0]]))[0], [1.0, 2.0, 3.0, 4.0]
+            Flatten().forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))[0], [[1.0, 2.0, 3.0, 4.0]]
         )
 
     def test_roundtrip(self):
-        x = Rng(0).normal((5, 3))
-        assert np.array_equal(Flatten().forward(x)[0].reshape(5, 3), x)
+        x = Rng(0).normal((1, 5, 3))
+        assert np.array_equal(Flatten().forward(x)[0].reshape(1, 5, 3), x)
 
     def test_layer_backward_restores_shape(self):
         layer = Flatten()
-        x = Rng(1).normal((4, 3))
+        x = Rng(1).normal((1, 4, 3))
         y, cache = layer.forward(x)
         gx, _ = layer.backward(cache, y)
         assert np.array_equal(gx, x)

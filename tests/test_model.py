@@ -10,7 +10,9 @@ from faultfusion.layers import softmax
 from faultfusion.model import (
     _MAX_HEADER_BYTES,
     ACOUSTIC_CNN_LSTM,
+    BRANCHES,
     FUSION,
+    MODEL_KINDS,
     VIBRATION_CNN,
     ModelSpec,
     build_model,
@@ -141,6 +143,33 @@ class TestForward:
         for b in range(3):
             single, _ = model.forward(x_vib=xv[b], x_ac=xa[b])
             assert np.abs(batched[b] - single).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_single_window_is_its_batch_of_one(self, kind):
+        model = build_model(small_spec(kind), Rng(10))
+        rng = Rng(11)
+        batch = {f"x_{branch}": rng.normal((1, 64, 1)) for branch in BRANCHES[kind]}
+        probs_b1, caches_b1 = model.forward(**batch)
+        probs, caches = model.forward(**{key: x[0] for key, x in batch.items()})
+        assert probs.shape == (3,) and probs.tobytes() == probs_b1[0].tobytes()
+        grad_logits = probs.copy()
+        grad_logits[1] -= 1.0
+        grads = model.backward(caches, grad_logits)
+        grads_b1 = model.backward(caches_b1, grad_logits[None])
+        assert list(grads) == list(grads_b1)
+        for name, grad in grads.items():
+            assert grad.tobytes() == grads_b1[name].tobytes(), name
+
+    @pytest.mark.parametrize(
+        "vib_shape,ac_shape",
+        [((64, 1), (2, 64, 1)), ((3, 64, 1), (2, 64, 1)), ((2, 60, 1), (2, 60, 1)),
+         ((64, 2), (64, 2))],
+        ids=["window_and_batch", "unequal_batches", "wrong_window_length", "two_channels"],
+    )
+    def test_bad_input_shape_is_one_shape_error(self, vib_shape, ac_shape):
+        model = build_model(small_spec(FUSION), Rng(12))
+        with pytest.raises(ShapeError, match=r"fusion takes a \[64, 1\] window"):
+            model.forward(x_vib=np.zeros(vib_shape), x_ac=np.zeros(ac_shape))
 
 
 def _whole_net_loss(model, inputs, target):
