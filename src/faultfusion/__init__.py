@@ -38,7 +38,6 @@ from .metrics import (
     per_class_metrics,
     render_csv,
     render_table,
-    verify_overall_consistency,
 )
 from .model import (
     ACOUSTIC_CNN_LSTM,
@@ -121,6 +120,5 @@ __all__ = [
     "stratified_split",
     "synth_dataset",
     "synth_recording",
-    "verify_overall_consistency",
     "write_manifest",
 ]

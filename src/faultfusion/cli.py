@@ -176,6 +176,9 @@ def cmd_train(args) -> int:
         raise ConfigError("model kind required: pass --kind or set [model] kind")
     default_len = _get(cp, "synth", "window_len", 1000, int)
     window_len = _get(cp, "data", "window_len", default_len, int)
+    if window_len < 1:
+        section = "data" if cp.has_option("data", "window_len") else "synth"
+        raise ConfigError(f"[{section}] window_len must be >= 1, got {window_len}")
     dataset = _dataset_for(cp, args, kind_branches(kind), window_len)
     declared = _get(cp, "model", "num_classes", None, int)
     if declared is not None and declared != dataset.num_classes:

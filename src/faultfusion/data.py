@@ -387,8 +387,17 @@ class SynthSpec:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.windows_per_class < 1:
             raise ConfigError("windows_per_class must be >= 1")
+        if self.window_len < 1:
+            raise ConfigError(f"window_len must be >= 1, got {self.window_len}")
+        if not 0 < self.sample_rate_hz < np.inf:  # also rejects NaN
+            raise ConfigError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         if self.repetition_step_hz == 0:
             raise ConfigError("repetition_step_hz must be nonzero: classes need distinct rates")
+        for c in range(self.num_classes):
+            if not self.repetition_hz(c) > 0:
+                raise ConfigError(
+                    f"repetition_hz of class {c} is {self.repetition_hz(c)}: it must be > 0"
+                )
         if self.vib_noise_sigma < 0 or self.ac_noise_sigma < 0:
             raise ConfigError("noise sigma must be >= 0")
         if not self.class_names:

@@ -2,6 +2,11 @@
 predict_proba / score plus get_params / set_params, so the networks drop
 into pipelines, grid search and clone().
 
+Each estimator is a dataclass whose fields are its parameters: first the
+network fields of its kind, then the training parameters shared by all
+three, which are keyword-only. Network fields become ``ModelSpec`` fields of
+the same name, or of the name the class's ``_spec_names`` maps them to.
+
 X is an array of fixed-length windows: [n, T] or [n, T, 1] for the
 single-sensor estimators, [n, T, 2] (vibration channel first) or a
 (vibration, acoustic) pair of arrays for the fusion estimator.
@@ -9,7 +14,8 @@ single-sensor estimators, [n, T, 2] (vibration channel first) or a
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import KW_ONLY, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,18 +46,26 @@ def validate_labels(y, n: int) -> np.ndarray:
     return y
 
 
+@dataclass(eq=False)
 class BaseWindowClassifier:
-    """Shared scikit-learn plumbing; subclasses define the network spec."""
+    """Shared scikit-learn plumbing; subclasses list their network fields."""
 
-    _kind: str = ""
+    _kind: ClassVar[str] = ""
+    # Network field -> ModelSpec field, where the names differ.
+    _spec_names: ClassVar[dict[str, str]] = {}
+
+    _: KW_ONLY
+    epochs: int = 20
+    batch_size: int = 64
+    learning_rate: float = 1e-3
+    validation_split: float = 0.2
+    normalize: bool = True
+    seed: int = 0
 
     def get_params(self, deep: bool = True) -> dict:
-        names = [
-            p.name
-            for p in inspect.signature(type(self).__init__).parameters.values()
-            if p.name != "self"
-        ]
-        return {name: getattr(self, name) for name in names}
+        # In __init__ order: keyword-only fields come after the network fields.
+        ordered = sorted(fields(self), key=lambda f: f.kw_only)
+        return {f.name: getattr(self, f.name) for f in ordered}
 
     def set_params(self, **params):
         valid = self.get_params()
@@ -80,9 +94,17 @@ class BaseWindowClassifier:
             learning_rate=self.learning_rate,
         )
 
+    def _model_spec(self, input_len: int, num_classes: int) -> ModelSpec:
+        network = {
+            self._spec_names.get(f.name, f.name): getattr(self, f.name)
+            for f in fields(self)
+            if not f.kw_only
+        }
+        return ModelSpec(kind=self._kind, num_classes=num_classes, input_len=input_len, **network)
+
     def _windows(self, X) -> dict[str, np.ndarray]:
         """Validated [n, T, 1] windows of X for each branch of the estimator's kind."""
-        raise NotImplementedError
+        return dict.fromkeys(kind_branches(self._kind), validate_windows(X))
 
     def _make_dataset(self, X, y=None) -> WindowedDataset:
         windows = self._windows(X)
@@ -101,9 +123,6 @@ class BaseWindowClassifier:
             class_names=names,
             mode=BRANCH_MODES[tuple(windows)],
         )
-
-    def _model_spec(self, input_len: int, num_classes: int) -> ModelSpec:
-        raise NotImplementedError
 
     def fit(self, X, y):
         dataset = self._make_dataset(X, y)
@@ -132,127 +151,34 @@ class BaseWindowClassifier:
         return float((predictions == y).mean())
 
 
-class _SingleSensorClassifier(BaseWindowClassifier):
-    def __init__(
-        self,
-        conv_channels,
-        conv_kernels,
-        pool_sizes,
-        dense_units,
-        epochs,
-        batch_size,
-        learning_rate,
-        validation_split,
-        normalize,
-        seed,
-    ):
-        self.conv_channels = conv_channels
-        self.conv_kernels = conv_kernels
-        self.pool_sizes = pool_sizes
-        self.dense_units = dense_units
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.validation_split = validation_split
-        self.normalize = normalize
-        self.seed = seed
-
-    def _windows(self, X) -> dict[str, np.ndarray]:
-        return dict.fromkeys(kind_branches(self._kind), validate_windows(X))
-
-
-class VibrationCNNClassifier(_SingleSensorClassifier):
+@dataclass(eq=False)
+class VibrationCNNClassifier(BaseWindowClassifier):
     """1D-CNN over raw vibration windows."""
 
     _kind = VIBRATION_CNN
 
-    def __init__(
-        self,
-        conv_channels=(16, 32, 64),
-        conv_kernels=(7, 5, 3),
-        pool_sizes=(2, 2, 2),
-        dense_units=32,
-        epochs=20,
-        batch_size=64,
-        learning_rate=1e-3,
-        validation_split=0.2,
-        normalize=True,
-        seed=0,
-    ):
-        super().__init__(
-            conv_channels,
-            conv_kernels,
-            pool_sizes,
-            dense_units,
-            epochs,
-            batch_size,
-            learning_rate,
-            validation_split,
-            normalize,
-            seed,
-        )
-
-    def _model_spec(self, input_len: int, num_classes: int) -> ModelSpec:
-        return ModelSpec(
-            kind=VIBRATION_CNN,
-            num_classes=num_classes,
-            input_len=input_len,
-            conv_channels=tuple(self.conv_channels),
-            conv_kernels=tuple(self.conv_kernels),
-            pool_sizes=tuple(self.pool_sizes),
-            dense_units=self.dense_units,
-        )
+    conv_channels: tuple[int, ...] = (16, 32, 64)
+    conv_kernels: tuple[int, ...] = (7, 5, 3)
+    pool_sizes: tuple[int, ...] = (2, 2, 2)
+    dense_units: int = 32
 
 
-class AcousticLSTMClassifier(_SingleSensorClassifier):
+@dataclass(eq=False)
+class AcousticLSTMClassifier(BaseWindowClassifier):
     """CNN front end plus stacked LSTMs over raw acoustic windows."""
 
     _kind = ACOUSTIC_CNN_LSTM
+    _spec_names = {name: "ac_" + name for name in ("conv_channels", "conv_kernels", "pool_sizes")}
 
-    def __init__(
-        self,
-        conv_channels=(16, 32),
-        conv_kernels=(7, 5),
-        pool_sizes=(2, 2),
-        lstm_units=64,
-        lstm_layers=2,
-        dense_units=32,
-        epochs=20,
-        batch_size=64,
-        learning_rate=1e-3,
-        validation_split=0.2,
-        normalize=True,
-        seed=0,
-    ):
-        super().__init__(
-            conv_channels,
-            conv_kernels,
-            pool_sizes,
-            dense_units,
-            epochs,
-            batch_size,
-            learning_rate,
-            validation_split,
-            normalize,
-            seed,
-        )
-        self.lstm_units = lstm_units
-        self.lstm_layers = lstm_layers
-
-    def _model_spec(self, input_len: int, num_classes: int) -> ModelSpec:
-        return ModelSpec(
-            kind=ACOUSTIC_CNN_LSTM,
-            num_classes=num_classes,
-            input_len=input_len,
-            ac_conv_channels=tuple(self.conv_channels),
-            ac_conv_kernels=tuple(self.conv_kernels),
-            ac_pool_sizes=tuple(self.pool_sizes),
-            lstm_units=self.lstm_units,
-            lstm_layers=self.lstm_layers,
-            dense_units=self.dense_units,
-        )
+    conv_channels: tuple[int, ...] = (16, 32)
+    conv_kernels: tuple[int, ...] = (7, 5)
+    pool_sizes: tuple[int, ...] = (2, 2)
+    lstm_units: int = 64
+    lstm_layers: int = 2
+    dense_units: int = 32
 
 
+@dataclass(eq=False)
 class FusionClassifier(BaseWindowClassifier):
     """Dual-branch network over paired vibration + acoustic windows.
 
@@ -261,67 +187,28 @@ class FusionClassifier(BaseWindowClassifier):
     """
 
     _kind = FUSION
+    _spec_names = {"vib_" + name: name for name in ("conv_channels", "conv_kernels", "pool_sizes")}
 
-    def __init__(
-        self,
-        vib_conv_channels=(16, 32, 64),
-        vib_conv_kernels=(7, 5, 3),
-        vib_pool_sizes=(2, 2, 2),
-        ac_conv_channels=(16, 32),
-        ac_conv_kernels=(7, 5),
-        ac_pool_sizes=(2, 2),
-        lstm_units=64,
-        lstm_layers=2,
-        dense_units=32,
-        epochs=20,
-        batch_size=64,
-        learning_rate=1e-3,
-        validation_split=0.2,
-        normalize=True,
-        seed=0,
-    ):
-        self.vib_conv_channels = vib_conv_channels
-        self.vib_conv_kernels = vib_conv_kernels
-        self.vib_pool_sizes = vib_pool_sizes
-        self.ac_conv_channels = ac_conv_channels
-        self.ac_conv_kernels = ac_conv_kernels
-        self.ac_pool_sizes = ac_pool_sizes
-        self.lstm_units = lstm_units
-        self.lstm_layers = lstm_layers
-        self.dense_units = dense_units
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.validation_split = validation_split
-        self.normalize = normalize
-        self.seed = seed
+    vib_conv_channels: tuple[int, ...] = (16, 32, 64)
+    vib_conv_kernels: tuple[int, ...] = (7, 5, 3)
+    vib_pool_sizes: tuple[int, ...] = (2, 2, 2)
+    ac_conv_channels: tuple[int, ...] = (16, 32)
+    ac_conv_kernels: tuple[int, ...] = (7, 5)
+    ac_pool_sizes: tuple[int, ...] = (2, 2)
+    lstm_units: int = 64
+    lstm_layers: int = 2
+    dense_units: int = 32
 
     def _windows(self, X) -> dict[str, np.ndarray]:
         if isinstance(X, (tuple, list)) and len(X) == 2:
-            vib = validate_windows(X[0], "X[0] (vibration)")
-            ac = validate_windows(X[1], "X[1] (acoustic)")
-            if vib.shape[0] != ac.shape[0] or vib.shape[1] != ac.shape[1]:
-                raise ShapeError(f"modalities disagree: {vib.shape} vs {ac.shape}")
+            pair, names = X, ("X[0] (vibration)", "X[1] (acoustic)")
         else:
             X = np.asarray(X, dtype=DTYPE)
             if X.ndim != 3 or X.shape[2] != 2:
                 raise ShapeError(f"fusion X: expected [n, T, 2] or a pair of arrays, got {X.shape}")
-            check_finite(X, "X")
-            vib, ac = X[:, :, :1].copy(), X[:, :, 1:].copy()
+            pair = X[:, :, :1].copy(), X[:, :, 1:].copy()
+            names = ("X[:, :, 0] (vibration)", "X[:, :, 1] (acoustic)")
+        vib, ac = (validate_windows(w, name) for w, name in zip(pair, names))
+        if vib.shape != ac.shape:
+            raise ShapeError(f"modalities disagree: {vib.shape} vs {ac.shape}")
         return dict(zip(kind_branches(self._kind), (vib, ac)))
-
-    def _model_spec(self, input_len: int, num_classes: int) -> ModelSpec:
-        return ModelSpec(
-            kind=FUSION,
-            num_classes=num_classes,
-            input_len=input_len,
-            conv_channels=tuple(self.vib_conv_channels),
-            conv_kernels=tuple(self.vib_conv_kernels),
-            pool_sizes=tuple(self.vib_pool_sizes),
-            ac_conv_channels=tuple(self.ac_conv_channels),
-            ac_conv_kernels=tuple(self.ac_conv_kernels),
-            ac_pool_sizes=tuple(self.ac_pool_sizes),
-            lstm_units=self.lstm_units,
-            lstm_layers=self.lstm_layers,
-            dense_units=self.dense_units,
-        )

@@ -105,19 +105,6 @@ def per_class_metrics(cm: ConfusionMatrix) -> ClassMetrics:
     )
 
 
-def verify_overall_consistency(metrics: ClassMetrics, tol: float = 5e-3) -> bool:
-    """Check the macro fields against unweighted means of the per-class fields.
-
-    The tolerance is in the units the metrics are stored in; table entries
-    re-typed as percentages absorb their two-decimal rounding within 5e-3.
-    """
-    return (
-        abs(metrics.macro_precision - float(np.mean(metrics.precision))) <= tol
-        and abs(metrics.macro_recall - float(np.mean(metrics.recall))) <= tol
-        and abs(metrics.macro_f1 - float(np.mean(metrics.f1))) <= tol
-    )
-
-
 def _pct(value: float) -> str:
     """Fraction -> percent with 2 decimals, rounding half away from zero."""
     d = Decimal(repr(float(value))) * 100

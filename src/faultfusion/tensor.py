@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
   - all values are 64-bit floats (np.float64), row-major,
-  - sequences are stored time-major as [time, channels],
-  - an optional leading batch axis is allowed on every layer input.
+  - layer inputs are batches: sequences are [batch, time, channels] and
+    feature vectors [batch, features].
 """
 
 from __future__ import annotations

@@ -245,6 +245,44 @@ class TestTrain:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "command,old,new,message",
+        [
+            ("train", "[data]", "window_len = 0", "[data] window_len must be >= 1, got 0"),
+            ("train", "[data]", "window_len = -5", "[data] window_len must be >= 1, got -5"),
+            ("train", "[synth]", "window_len = 0", "[synth] window_len must be >= 1, got 0"),
+            ("generate", "[synth]", "window_len = 0", "window_len must be >= 1, got 0"),
+            ("train", "[synth]", "sample_rate_hz = 0", "sample_rate_hz must be finite and > 0"),
+            ("generate", "[synth]", "sample_rate_hz = 0", "sample_rate_hz must be finite and > 0"),
+            ("generate", "[synth]", "sample_rate_hz = inf", "sample_rate_hz must be finite"),
+            ("generate", "[synth]", "base_repetition_hz = 0", "repetition_hz of class 0 is 0"),
+            (
+                "generate",
+                "[synth]",
+                "base_repetition_hz = 34\n    repetition_step_hz = -17",
+                "repetition_hz of class 2 is 0",
+            ),
+        ],
+        ids=[
+            "data_window_0", "data_window_neg", "synth_window_0_train", "synth_window_0_generate",
+            "rate_0_train", "rate_0_generate", "rate_inf_generate", "repetition_0",
+            "repetition_0_at_class_2",
+        ],
+    )
+    def test_out_of_range_window_or_rate_is_usage_error(
+        self, tmp_path, capsys, command, old, new, message
+    ):
+        text = TINY_TRAIN.replace("    window_len = 200\n", "").replace(old, f"{old}\n    {new}")
+        config = write_config(tmp_path, text, "bad.ini")
+        args = [command, "--config", config, "--out", str(tmp_path / "r")]
+        if old == "[data]":  # as reproduced: train on a generated manifest
+            gen_config = write_config(tmp_path, TINY_SYNTH, "gen.ini")
+            assert main(["generate", "--config", gen_config, "--out", str(tmp_path / "d")]) == 0
+            capsys.readouterr()
+            args += ["--manifest", str(tmp_path / "d" / "manifest.csv")]
+        assert main(args) == 1
+        assert_one_line_error(capsys, f"usage error: {message}")
+
 
 # A value other than the default for every field of each dataclass an INI
 # section reads, so that a field the codec drops shows up as a default.

@@ -1,3 +1,6 @@
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,17 +61,99 @@ class TestValidation:
             validate_windows(X)
 
 
+def small_acoustic(**overrides):
+    params = dict(
+        conv_channels=(4,), conv_kernels=(5,), pool_sizes=(4,), lstm_units=6, lstm_layers=1,
+        dense_units=8, epochs=3, batch_size=16, validation_split=0.25, normalize=False, seed=1,
+    )
+    params.update(overrides)
+    return AcousticLSTMClassifier(**params)
+
+
+def small_fusion(**overrides):
+    params = dict(
+        vib_conv_channels=(4,), vib_conv_kernels=(5,), vib_pool_sizes=(2,),
+        ac_conv_channels=(4,), ac_conv_kernels=(5,), ac_pool_sizes=(4,), lstm_units=4,
+        dense_units=8, epochs=3, batch_size=16, learning_rate=3e-3, validation_split=0.25, seed=2,
+    )
+    params.update(overrides)
+    return FusionClassifier(**params)
+
+
+SMALL = {"vibration": small_vib, "acoustic": small_acoustic, "fusion": small_fusion}
+
+TRAINING_DEFAULTS = [
+    ("epochs", 20),
+    ("batch_size", 64),
+    ("learning_rate", 1e-3),
+    ("validation_split", 0.2),
+    ("normalize", True),
+    ("seed", 0),
+]
+
+# Each estimator's parameters in __init__ order with their defaults; the
+# training parameters after the network ones are keyword-only.
+PARAMETER_TABLES = {
+    VibrationCNNClassifier: [
+        ("conv_channels", (16, 32, 64)),
+        ("conv_kernels", (7, 5, 3)),
+        ("pool_sizes", (2, 2, 2)),
+        ("dense_units", 32),
+    ],
+    AcousticLSTMClassifier: [
+        ("conv_channels", (16, 32)),
+        ("conv_kernels", (7, 5)),
+        ("pool_sizes", (2, 2)),
+        ("lstm_units", 64),
+        ("lstm_layers", 2),
+        ("dense_units", 32),
+    ],
+    FusionClassifier: [
+        ("vib_conv_channels", (16, 32, 64)),
+        ("vib_conv_kernels", (7, 5, 3)),
+        ("vib_pool_sizes", (2, 2, 2)),
+        ("ac_conv_channels", (16, 32)),
+        ("ac_conv_kernels", (7, 5)),
+        ("ac_pool_sizes", (2, 2)),
+        ("lstm_units", 64),
+        ("lstm_layers", 2),
+        ("dense_units", 32),
+    ],
+}
+
+
 class TestParamsProtocol:
-    def test_get_params_round_trip(self):
-        est = small_vib()
+    @pytest.mark.parametrize("make", SMALL.values(), ids=SMALL)
+    def test_get_params_round_trip(self, make):
+        est = make()
         params = est.get_params()
-        rebuilt = VibrationCNNClassifier(**params)
+        rebuilt = type(est)(**params)
         assert rebuilt.get_params() == params
 
-    def test_set_params(self):
-        est = small_vib()
+    @pytest.mark.parametrize("make", SMALL.values(), ids=SMALL)
+    def test_set_params(self, make):
+        est = make()
         est.set_params(epochs=3, learning_rate=0.1)
         assert est.epochs == 3 and est.learning_rate == 0.1
+
+    @pytest.mark.parametrize("make", SMALL.values(), ids=SMALL)
+    def test_clone_from_get_params_keeps_each_object(self, make):
+        est = make()
+        kinds = {p.kind for p in inspect.signature(type(est)).parameters.values()}
+        assert not kinds & {inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD}
+        params = est.get_params()
+        rebuilt = type(est)(**params)
+        for name, value in params.items():
+            assert getattr(rebuilt, name) is value, name
+
+    @pytest.mark.parametrize("cls", PARAMETER_TABLES, ids=lambda cls: cls.__name__)
+    def test_parameter_names_order_and_defaults(self, cls):
+        network = PARAMETER_TABLES[cls]
+        signature = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.default) for p in signature] == network + TRAINING_DEFAULTS
+        assert list(cls().get_params().items()) == network + TRAINING_DEFAULTS
+        keyword_only = [p.name for p in signature if p.kind is inspect.Parameter.KEYWORD_ONLY]
+        assert keyword_only == [name for name, _ in TRAINING_DEFAULTS]
 
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError, match="invalid parameter"):
@@ -149,43 +234,33 @@ class TestAcousticEstimator:
 
 
 class TestFusionEstimator:
-    def _small(self, epochs=40):
-        return FusionClassifier(
-            vib_conv_channels=(4,),
-            vib_conv_kernels=(5,),
-            vib_pool_sizes=(2,),
-            ac_conv_channels=(4,),
-            ac_conv_kernels=(5,),
-            ac_pool_sizes=(4,),
-            lstm_units=4,
-            dense_units=8,
-            epochs=epochs,
-            batch_size=16,
-            learning_rate=3e-3,
-            validation_split=0.25,
-            seed=2,
-        )
-
     def test_stacked_input(self):
         Xv, y = toy_windows(n_per_class=8, seed=3)
         Xa, _ = toy_windows(n_per_class=8, seed=4)
         X = np.stack([Xv, Xa], axis=2)
-        est = self._small().fit(X, y)
+        est = small_fusion(epochs=40).fit(X, y)
         assert est.score(X, y) >= 0.8
 
     def test_tuple_input_equals_stacked(self):
         Xv, y = toy_windows(n_per_class=4, seed=5)
         Xa, _ = toy_windows(n_per_class=4, seed=6)
         stacked = np.stack([Xv, Xa], axis=2)
-        p1 = self._small(epochs=2).fit(stacked, y).predict_proba(stacked)
-        p2 = self._small(epochs=2).fit((Xv, Xa), y).predict_proba((Xv, Xa))
+        p1 = small_fusion(epochs=2).fit(stacked, y).predict_proba(stacked)
+        p2 = small_fusion(epochs=2).fit((Xv, Xa), y).predict_proba((Xv, Xa))
         assert np.array_equal(p1, p2)
 
     def test_mismatched_modalities(self):
         Xv, y = toy_windows(n_per_class=4)
         with pytest.raises(ShapeError, match="disagree"):
-            self._small().fit((Xv, Xv[:, :32]), y)
+            small_fusion().fit((Xv, Xv[:, :32]), y)
 
     def test_wrong_channel_count(self):
         with pytest.raises(ShapeError, match="fusion X"):
-            self._small().fit(np.zeros((4, 16, 3)), np.array([0, 1, 0, 1]))
+            small_fusion().fit(np.zeros((4, 16, 3)), np.array([0, 1, 0, 1]))
+
+    @pytest.mark.parametrize("shape", [(0, 16, 2), (4, 0, 2)], ids=["n0", "T0"])
+    def test_empty_stacked_input_is_shape_error(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ShapeError, match="empty window array"):
+                small_fusion().fit(np.zeros(shape), np.zeros(shape[0]))
