@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -176,14 +177,12 @@ def normalize_window(w: np.ndarray) -> np.ndarray:
     taken per window over all its values.
     """
     w = np.asarray(w, dtype=DTYPE)
-    if w.ndim <= 2:
-        mean = w.mean()
-        std = w.std()
-        return (w - mean) / max(std, 1e-8)
-    axes = tuple(range(1, w.ndim))
-    mean = w.mean(axis=axes, keepdims=True)
-    std = w.std(axis=axes, keepdims=True)
-    return (w - mean) / np.maximum(std, 1e-8)
+    first = 0 if w.ndim <= 2 else 1
+    axes = tuple(range(first, w.ndim))
+    d = w - w.mean(axis=axes, keepdims=True)
+    # the operations np.std runs on d, without forming w - mean a second time
+    std = np.sqrt((d * d).sum(axis=axes, keepdims=True) / math.prod(w.shape[first:]))
+    return d / np.maximum(std, 1e-8)
 
 
 @dataclass
@@ -393,13 +392,25 @@ class SynthSpec:
             raise ConfigError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         if self.repetition_step_hz == 0:
             raise ConfigError("repetition_step_hz must be nonzero: classes need distinct rates")
+        if not 0 < self.decay_s < np.inf:
+            raise ConfigError(f"decay_s must be finite and > 0, got {self.decay_s}")
+        if not np.isfinite(self.impulse_amplitude):
+            raise ConfigError(f"impulse_amplitude must be finite, got {self.impulse_amplitude}")
         for c in range(self.num_classes):
-            if not self.repetition_hz(c) > 0:
+            if not 0 < self.repetition_hz(c) < np.inf:
                 raise ConfigError(
-                    f"repetition_hz of class {c} is {self.repetition_hz(c)}: it must be > 0"
+                    f"repetition_hz of class {c} is {self.repetition_hz(c)}:"
+                    " it must be finite and > 0"
                 )
-        if self.vib_noise_sigma < 0 or self.ac_noise_sigma < 0:
-            raise ConfigError("noise sigma must be >= 0")
+            for modality in MODALITIES:
+                if not np.isfinite(self.resonance_hz(c, modality)):
+                    raise ConfigError(
+                        f"{modality} resonance_hz of class {c} is"
+                        f" {self.resonance_hz(c, modality)}: it must be finite"
+                    )
+        for name in ("vib_noise_sigma", "ac_noise_sigma"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not self.class_names:
             object.__setattr__(self, "class_names", tuple(default_class_names(self.num_classes)))
         elif len(self.class_names) != self.num_classes:
@@ -434,7 +445,9 @@ def synth_recording(class_id: int, spec: SynthSpec, rng: Rng, modality: str) -> 
     period = fs / f_rep  # samples between impulses
     x = np.zeros(n, dtype=DTYPE)
 
-    tail = int(6.0 * spec.decay_s * fs) + 1
+    # six decay constants, but no longer than any burst can reach into x: a
+    # burst starts no earlier than sample -0.01 * period - 0.5, and x ends at n
+    tail = int(min(6.0 * spec.decay_s * fs, n + 0.01 * period)) + 1
     t_tail = np.arange(tail, dtype=DTYPE) / fs
     envelope = np.exp(-t_tail / spec.decay_s)
     num_impulses = int(n / period) + 2
@@ -445,8 +458,10 @@ def synth_recording(class_id: int, spec: SynthSpec, rng: Rng, modality: str) -> 
             break
         amp = spec.impulse_amplitude * (0.8 + 0.4 * rng.uniform())
         burst = amp * envelope * np.sin(2.0 * np.pi * f_res * t_tail)
-        stop = min(start + tail, n)
-        lo = max(start, 0)  # jitter can push the first burst before sample 0
+        # jitter can push the first burst to start before sample 0, and at a
+        # slow repetition rate even to end there
+        lo = max(start, 0)
+        stop = max(lo, min(start + tail, n))
         x[lo:stop] += burst[lo - start : stop - start]
     sigma = spec.noise_sigma(modality)
     if sigma > 0:

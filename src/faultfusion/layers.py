@@ -8,7 +8,8 @@ finite-difference tests pin every formula here.
 
 Conventions: cross-correlation (no kernel flip), valid padding, stride 1,
 pool stride == pool size with first-index tie-break, ReLU derivative 0 at 0,
-LSTM gate blocks ordered (i, f, g, o).
+LSTM gate blocks of the stored W, U, b (and so of FMDL1 and the gradients)
+ordered (i, f, g, o).
 
 Layout: Conv1D reads a C-contiguous [B, T, Cin] batch as windows: row (b, t)
 of the im2col matrix is x[b, t:t+K, :], a contiguous run of K*Cin values, and
@@ -22,10 +23,14 @@ LSTM works on time-major slabs allocated once per call, so that every gate of
 every step is one contiguous [B, u] block: A [T, 4, B, u] holds the gates (the
 input projection xW + b is written straight into it, then each step adds
 h_{t-1} U and activates in place), C and H [T + 1, B, u] hold the cell and
-hidden states with C[0] = H[0] = 0, and TC [T, B, u] holds tanh(c_t). A step
-is one GEMM and in-place ufunc calls on those blocks; nothing is allocated
-per step. Backward reads the same slabs, writes dL/dz into a [T, B, 4u] slab,
-and forms the W, U, b and input gradients as 2-D GEMMs over its T*B rows.
+hidden states with C[0] = H[0] = 0, and TC [T, B, u] holds tanh(c_t). The slab
+orders the gates (i, f, o, g) and holds -z for the three sigmoid gates: the
+forward multiplies W, U and b per call by a gate permutation and sign, which
+is exact, so one contiguous [3, B, u] block takes the sigmoid as exp, add 1,
+divide. A step is one GEMM and 10 in-place ufunc calls on those blocks;
+nothing is allocated per step. Backward reads the same slabs, writes dL/dz
+into a [T, B, 4u] slab in the stored (i, f, g, o) order, and forms the W, U,
+b and input gradients as 2-D GEMMs over its T*B rows.
 """
 
 from __future__ import annotations
@@ -47,6 +52,11 @@ _BLOCK_ROWS = 8192
 # while still in cache: at B=64, T=246, u=64 they took 27 ms as whole-sequence
 # passes and 12 ms in blocks of this size.
 _LSTM_BLOCK = 16384
+
+# LSTM slab gate order (i, f, o, g): slab gate k is stored gate _SLAB_GATES[k]
+# of the stored order (i, f, g, o), and the three sigmoid gates are negated.
+_SLAB_GATES = [0, 1, 3, 2]
+_SLAB_SIGNS = np.array([-1.0, -1.0, -1.0, 1.0], dtype=DTYPE)[:, None]
 
 
 def _window_blocks(xb: np.ndarray, K: int):
@@ -263,7 +273,8 @@ class LSTM:
     """Single LSTM layer unrolled over time, h0 = c0 = 0: [B, T, Cin] in,
     the hidden state of every step [B, T, units] out.
 
-    Per step t, with gate blocks (i, f, g, o) in that column order:
+    Per step t, with gate blocks (i, f, g, o) in that column order (the
+    forward's slab reorders them, see the module docstring):
         z   = x_t W + h_{t-1} U + b
         i, f, o = sigmoid(z_i), sigmoid(z_f), sigmoid(z_o);  g = tanh(z_g)
         c_t = f * c_{t-1} + i * g
@@ -298,39 +309,45 @@ class LSTM:
         if Cin != self.W.shape[0]:
             raise ShapeError(f"lstm: input has {Cin} channels, W expects {self.W.shape[0]}")
         u = self.units
-        # A[t, k] is gate k of step t: z before the loop reaches step t, the
-        # activated gate after. The projection writes each gate straight into
-        # its slot, one [T, Cin] x [Cin, u] GEMM per (window, gate).
+
+        # slab copies of W, U and b: gates reordered to (i, f, o, g), sigmoid
+        # columns negated (exact in IEEE arithmetic, so the slab gets exactly
+        # -z for i, f and o). Built per call, because Adam updates the stored
+        # arrays in place.
+        def slab(m):
+            return m.reshape(-1, 4, u)[:, _SLAB_GATES] * _SLAB_SIGNS
+
+        # A[t, k] is slab gate k of step t: -z (i, f, o) or z (g) before the
+        # loop reaches step t, the activated gate after. The projection writes
+        # each gate straight into its slot, one [T, Cin] x [Cin, u] GEMM per
+        # (window, gate).
         A = np.empty((T, 4, B, u), dtype=DTYPE)
-        W4 = self.W.reshape(Cin, 4, u).transpose(1, 0, 2)
-        np.matmul(x[:, None], W4, out=A.transpose(2, 1, 0, 3))
-        A += self.b.reshape(4, 1, u)
+        np.matmul(x[:, None], slab(self.W).transpose(1, 0, 2), out=A.transpose(2, 1, 0, 3))
+        A += slab(self.b).reshape(4, 1, u)
         C = np.empty((T + 1, B, u), dtype=DTYPE)  # C[t + 1] = c_t, C[0] = c_{-1} = 0
         H = np.empty((T + 1, B, u), dtype=DTYPE)  # H[t + 1] = h_t, H[0] = h_{-1} = 0
         C[0] = 0.0
         H[0] = 0.0
         TC = np.empty((T, B, u), dtype=DTYPE)  # tanh(c_t)
-        U = self.U
+        U = slab(self.U).reshape(u, 4 * u)
         hU = np.empty((B, 4 * u), dtype=DTYPE)
         hU4 = hU.reshape(B, 4, u).transpose(1, 0, 2)
         ig = np.empty((B, u), dtype=DTYPE)
         # exp(-z) overflow saturates the sigmoid to 0.0, the correct limit
         with np.errstate(over="ignore"):
-            steps = zip(A, A[:, :2], A[:, 2], A[:, 3], H[:-1], H[1:], C[:-1], C[1:], TC)
-            for a, i_f, g, o, h_prev, h, c_prev, c, tc in steps:
+            steps = zip(A, A[:, :3], A[:, 3], H[:-1], H[1:], C[:-1], C[1:], TC)
+            for a, s, g, h_prev, h, c_prev, c, tc in steps:
                 np.matmul(h_prev, U, out=hU)
                 np.add(a, hU4, out=a)
-                for s in (i_f, o):  # sigmoid on i, f and o
-                    np.negative(s, out=s)
-                    np.exp(s, out=s)
-                    np.add(1.0, s, out=s)
-                    np.divide(1.0, s, out=s)
+                np.exp(s, out=s)  # sigmoid on i, f and o: s holds -z
+                np.add(1.0, s, out=s)
+                np.divide(1.0, s, out=s)
                 np.tanh(g, out=g)
-                np.multiply(i_f[1], c_prev, out=c)
-                np.multiply(i_f[0], g, out=ig)
+                np.multiply(s[1], c_prev, out=c)
+                np.multiply(s[0], g, out=ig)
                 np.add(c, ig, out=c)
                 np.tanh(c, out=tc)
-                np.multiply(o, tc, out=h)
+                np.multiply(s[2], tc, out=h)
         return H[1:].transpose(1, 0, 2), {"x": x, "A": A, "C": C, "TC": TC, "H": H}
 
     def backward(self, cache, grad_out: np.ndarray):
@@ -360,25 +377,26 @@ class LSTM:
         for stop in range(T, 0, -n):
             start = max(0, stop - n)
             a, p, q = A[start:stop], P[: stop - start], Q[: stop - start]
-            for k, other in ((0, a[:, 2]), (1, C[start:stop]), (3, TC[start:stop])):
-                np.subtract(1.0, a[:, k], out=p[:, k])
-                p[:, k] *= a[:, k]
+            i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+            for k, s, other in ((0, i, g), (1, f, C[start:stop]), (3, o, TC[start:stop])):
+                np.subtract(1.0, s, out=p[:, k])
+                p[:, k] *= s
                 p[:, k] *= other
-            np.multiply(a[:, 2], a[:, 2], out=p[:, 2])
+            np.multiply(g, g, out=p[:, 2])
             np.subtract(1.0, p[:, 2], out=p[:, 2])
-            p[:, 2] *= a[:, 0]
+            p[:, 2] *= i
             np.multiply(TC[start:stop], TC[start:stop], out=q)
             np.subtract(1.0, q, out=q)
-            q *= a[:, 3]
-            steps = zip(G[start:stop], p, q, dZ[start:stop], dZ4[start:stop], a[:, 1])
-            for g_t, p_t, q_t, dz, dz4, f in reversed(list(steps)):
+            q *= o
+            steps = zip(G[start:stop], p, q, dZ[start:stop], dZ4[start:stop], f)
+            for g_t, p_t, q_t, dz, dz4, f_t in reversed(list(steps)):
                 np.add(g_t, dh, out=dh)
                 q_t *= dh
                 dc += q_t
                 np.multiply(p_t[:3], dc, out=dz4[:3])
                 np.multiply(p_t[3], dh, out=dz4[3])
                 np.matmul(dz, UT, out=dh)
-                dc *= f
+                dc *= f_t
         dZ2 = dZ.reshape(T * B, 4 * u)
         grad_W = x.transpose(1, 0, 2).reshape(T * B, Cin).T @ dZ2
         grad_U = H[:T].reshape(T * B, u).T @ dZ2

@@ -283,6 +283,34 @@ class TestTrain:
         assert main(args) == 1
         assert_one_line_error(capsys, f"usage error: {message}")
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("decay_s = 0", "decay_s must be finite and > 0, got 0.0"),
+            ("decay_s = 1e12", None),
+            ("impulse_amplitude = inf", "impulse_amplitude must be finite, got inf"),
+            ("ac_resonance_base_hz = nan", "acoustic resonance_hz of class 0 is nan"),
+            ("vib_noise_sigma = nan", "vib_noise_sigma must be finite and >= 0, got nan"),
+            ("base_repetition_hz = inf", "repetition_hz of class 0 is inf"),
+        ],
+        ids=["decay_0", "decay_1e12", "amplitude_inf", "resonance_nan", "sigma_nan",
+             "repetition_inf"],
+    )
+    def test_out_of_range_synth_signal_field(self, tmp_path, capsys, line, message):
+        """Each as reproduced: 2 classes, window_len 100, 20 windows per class."""
+        text = "[synth]\nnum_classes = 2\nwindows_per_class = 20\nwindow_len = 100\n"
+        config = write_config(tmp_path, text + line + "\n")
+        out = tmp_path / "d"
+        code = main(["generate", "--config", config, "--out", str(out)])
+        if message is None:  # a decay far longer than the recording is fine
+            assert code == 0
+            for path in out.iterdir():
+                if path.suffix == ".f32":
+                    assert np.isfinite(np.fromfile(path, dtype="<f4")).all()
+            return
+        assert code == 1
+        assert_one_line_error(capsys, f"usage error: {message}")
+
 
 # A value other than the default for every field of each dataclass an INI
 # section reads, so that a field the codec drops shows up as a default.

@@ -109,7 +109,28 @@ class TestSegment:
         assert np.array_equal(wins[1, :, 0], np.arange(50.0, 150.0))
 
 
+def _two_pass_normalize(w):
+    """The z-score as two numpy passes, np.mean then np.std, kept as an oracle."""
+    if w.ndim <= 2:
+        return (w - w.mean()) / max(w.std(), 1e-8)
+    axes = tuple(range(1, w.ndim))
+    std = w.std(axis=axes, keepdims=True)
+    return (w - w.mean(axis=axes, keepdims=True)) / np.maximum(std, 1e-8)
+
+
 class TestNormalize:
+    @pytest.mark.parametrize(
+        "shape", [(29, 1000, 1), (200, 1000, 1), (1000, 1), (1000,), (5, 7, 3), (1, 1000, 1)]
+    )
+    def test_bytes_equal_two_pass_formula(self, shape):
+        rng = Rng(6)
+        fortran = np.asfortranarray(rng.normal(shape))
+        for w in (rng.normal(shape) * 3.0 + 2.0, np.full(shape, 7.0), fortran):
+            expected = _two_pass_normalize(w)
+            z = normalize_window(w)
+            assert z.shape == expected.shape
+            assert z.tobytes() == expected.tobytes()
+
     def test_constant_window_is_zeroed(self):
         assert not normalize_window(np.full((100, 1), 7.0)).any()
 
@@ -249,6 +270,13 @@ class TestSynthRecording:
         rec = synth_recording(0, spec, Rng(558), VIBRATION)
         assert rec.samples.shape == (1000,)
         assert np.isfinite(rec.samples).all()
+
+    def test_first_burst_ending_before_sample_zero(self):
+        # at 0.01 Hz the jitter spans 256 decay tails; seed 689 draws a first
+        # burst that ends before sample 0, and it must leave x untouched
+        spec = SynthSpec(num_classes=2, windows_per_class=20, window_len=100,
+                         base_repetition_hz=0.01, vib_noise_sigma=0.0)
+        assert not synth_recording(0, spec, Rng(689), VIBRATION).samples.any()
 
     @pytest.mark.parametrize("class_id", [0, 2])
     def test_burst_count_matches_repetition_rate(self, class_id):

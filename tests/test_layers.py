@@ -433,7 +433,8 @@ def _lstm_per_step(layer, x):
     """The LSTM forward as a per-step loop with fresh arrays, kept as an oracle.
 
     Same operations in the same order as the layer: z = xW + hU, 1/(1+exp(-z))
-    on i/f/o, tanh on g, c = f*c + i*g, h = o*tanh(c).
+    on i/f/o, tanh on g, c = f*c + i*g, h = o*tanh(c). The layer negates the
+    i/f/o columns of W, U and b instead of z, which gives the same bits.
     """
     B, T, _ = x.shape
     u = layer.units
@@ -454,15 +455,24 @@ def _lstm_per_step(layer, x):
 
 
 class TestLSTMSlabs:
+    # The slab permutes and negates the gate columns of W, U and b, so the
+    # model-sized shapes check that a column-permuted GEMM gives the same bits
+    # per column: u=24 is the reduced spec's LSTM, Cin=32/u=64 the reference's.
     @pytest.mark.parametrize(
-        "shape",
-        [(1, 9, 4), (3, 9, 4), (3, 1, 4), (1, 1, 4)],
-        ids=["B1_unbatched", "B3", "B3_T1", "T1_unbatched"],
+        "shape,units",
+        [
+            ((1, 9, 4), 5), ((3, 9, 4), 5), ((3, 1, 4), 5), ((1, 1, 4), 5),
+            ((1, 61, 16), 24), ((96, 61, 16), 24), ((1, 246, 32), 64), ((64, 246, 32), 64),
+        ],
+        ids=[
+            "B1_unbatched", "B3", "B3_T1", "T1_unbatched",
+            "Cin16_u24_B1", "Cin16_u24_B96", "Cin32_u64_B1", "Cin32_u64_B64",
+        ],
     )
-    def test_forward_bytes_equal_per_step_formula(self, shape):
+    def test_forward_bytes_equal_per_step_formula(self, shape, units):
         rng = Rng(30)
-        layer = LSTM.init(4, 5, rng)
-        layer.b = rng.normal(20)  # every gate bias nonzero
+        layer = LSTM.init(shape[2], units, rng)
+        layer.b = rng.normal(4 * units)  # every gate bias nonzero
         x = rng.normal(shape) * 2.0
         y, _ = layer.forward(x)
         expected = _lstm_per_step(layer, x)
@@ -501,6 +511,15 @@ class TestLSTMSlabs:
         assert gx.tobytes() == gx_one.tobytes()
         for name in ("W", "U", "b"):
             assert grads[name].tobytes() == grads_one[name].tobytes()
+
+    def test_forward_and_backward_leave_parameters_unchanged(self):
+        rng = Rng(35)
+        layer = LSTM.init(3, 4, rng)
+        layer.b = rng.normal(16)
+        before = {name: arr.tobytes() for name, arr in layer.params().items()}
+        y, cache = layer.forward(rng.normal((2, 6, 3)))
+        layer.backward(cache, y)
+        assert {name: arr.tobytes() for name, arr in layer.params().items()} == before
 
     def test_caches_are_not_shared_across_calls(self):
         rng = Rng(32)

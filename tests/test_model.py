@@ -243,6 +243,15 @@ class TestSerialization:
         p2, _ = loaded.forward(x_vib=xv, x_ac=xa)
         assert np.array_equal(p1, p2)
 
+    def test_forward_and_backward_leave_saved_bytes_unchanged(self, tmp_path):
+        model = build_model(small_spec(FUSION), Rng(17))
+        save_model(model, tmp_path / "before.fmdl")
+        xv, xa = Rng(18).normal((3, 64, 1)), Rng(19).normal((3, 64, 1))
+        probs, caches = model.forward(x_vib=xv, x_ac=xa)
+        model.backward(caches, probs)
+        save_model(model, tmp_path / "after.fmdl")
+        assert (tmp_path / "after.fmdl").read_bytes() == (tmp_path / "before.fmdl").read_bytes()
+
     def test_roundtrip_parameters_identical(self, tmp_path):
         model = build_model(ModelSpec(kind=VIBRATION_CNN, input_len=64, num_classes=4,
                                       conv_channels=(2,), conv_kernels=(3,), pool_sizes=(2,)),
