@@ -254,7 +254,7 @@ def cmd_infer(args) -> int:
         if path is None:
             raise ConfigError(f"{model.kind} model needs --{SENSORS[branch]} FILE")
     windows = {f"x_{b}": _read_window(path, model.spec.input_len) for b, path in files.items()}
-    probs, _ = model.forward(**windows)
+    probs, _ = model.forward(**windows, keep=False)
     if args.class_names is not None:
         names = [n.strip() for n in args.class_names.split(",")]
         if len(names) != model.spec.num_classes:

@@ -157,6 +157,8 @@ def segment(
     Returns an array of shape [num_windows, window_len, 1] with
     num_windows = floor((N - window_len) / hop) + 1.
     """
+    if window_len < 1 or hop < 1:
+        raise DataError(f"window_len and hop must be >= 1, got {window_len} and {hop}")
     x = recording.samples
     n = x.shape[0]
     if n < window_len:
@@ -402,6 +404,11 @@ class SynthSpec:
                     f"repetition_hz of class {c} is {self.repetition_hz(c)}:"
                     " it must be finite and > 0"
                 )
+            if not np.isfinite(self.sample_rate_hz / self.repetition_hz(c)):
+                raise ConfigError(
+                    f"class {c} repeats every {self.sample_rate_hz / self.repetition_hz(c)}"
+                    " samples (sample_rate_hz / repetition_hz): it must be finite"
+                )
             for modality in MODALITIES:
                 if not np.isfinite(self.resonance_hz(c, modality)):
                     raise ConfigError(
@@ -445,11 +452,11 @@ def synth_recording(class_id: int, spec: SynthSpec, rng: Rng, modality: str) -> 
     period = fs / f_rep  # samples between impulses
     x = np.zeros(n, dtype=DTYPE)
 
-    # six decay constants, but no longer than any burst can reach into x: a
-    # burst starts no earlier than sample -0.01 * period - 0.5, and x ends at n
-    tail = int(min(6.0 * spec.decay_s * fs, n + 0.01 * period)) + 1
-    t_tail = np.arange(tail, dtype=DTYPE) / fs
+    # a burst lasts six decay constants, but reaches no further than x's end
+    reach = 6.0 * spec.decay_s * fs
+    t_tail = np.arange(int(min(reach, n)) + 1, dtype=DTYPE) / fs
     envelope = np.exp(-t_tail / spec.decay_s)
+    wave = np.sin(2.0 * np.pi * f_res * t_tail)
     num_impulses = int(n / period) + 2
     phase = rng.uniform() * period
     for k in range(num_impulses):
@@ -457,12 +464,17 @@ def synth_recording(class_id: int, spec: SynthSpec, rng: Rng, modality: str) -> 
         if start >= n:
             break
         amp = spec.impulse_amplitude * (0.8 + 0.4 * rng.uniform())
-        burst = amp * envelope * np.sin(2.0 * np.pi * f_res * t_tail)
-        # jitter can push the first burst to start before sample 0, and at a
-        # slow repetition rate even to end there
         lo = max(start, 0)
-        stop = max(lo, min(start + tail, n))
-        x[lo:stop] += burst[lo - start : stop - start]
+        stop = max(lo, min(start + int(min(reach, n - start)) + 1, n))
+        if start >= 0:
+            burst = amp * envelope[: stop - start] * wave[: stop - start]
+        else:
+            # jitter can push the first burst to start before sample 0, and
+            # at a slow repetition rate even to end there: its envelope and
+            # sine are taken over the part that falls inside x
+            t = (float(lo - start) + np.arange(stop - lo, dtype=DTYPE)) / fs
+            burst = amp * np.exp(-t / spec.decay_s) * np.sin(2.0 * np.pi * f_res * t)
+        x[lo:stop] += burst
     sigma = spec.noise_sigma(modality)
     if sigma > 0:
         x += sigma * rng.normal(n)

@@ -2,8 +2,10 @@
 
 Layers take and return batches only: [B, T, channels] for sequence layers,
 [B, d] for dense ones. ``Model.forward`` is the one place a single window
-becomes a batch of one. The backward pass of each layer returns the gradient
-w.r.t. its input plus parameter gradients summed over the batch;
+becomes a batch of one. Every ``forward(x, keep=True)`` returns (y, cache);
+with keep=False no backward follows, the cache is None and nothing is kept
+for it, and y is the same bytes. The backward pass of each layer returns the
+gradient w.r.t. its input plus parameter gradients summed over the batch;
 finite-difference tests pin every formula here.
 
 Conventions: cross-correlation (no kernel flip), valid padding, stride 1,
@@ -15,9 +17,10 @@ Layout: Conv1D reads a C-contiguous [B, T, Cin] batch as windows: row (b, t)
 of the im2col matrix is x[b, t:t+K, :], a contiguous run of K*Cin values, and
 kernels [K, Cin, Cout] reshape for free to the matching [K*Cin, Cout] matrix.
 Forward and the kernel gradient are one GEMM per block of windows. MaxPool1D
-takes the elementwise max over its p strided taps x[:, j::p, :] and caches,
-per output, the index of the first tap equal to the max in the smallest
-unsigned dtype that holds p - 1; backward routes the gradient to that tap.
+takes the elementwise max over its p strided taps x[:, j::p, :] and, when
+it keeps a cache, stores per output the index of the first tap equal to the
+max in the smallest unsigned dtype that holds p - 1; backward routes the
+gradient to that tap.
 
 LSTM works on time-major slabs allocated once per call, so that every gate of
 every step is one contiguous [B, u] block: A [T, 4, B, u] holds the gates (the
@@ -28,9 +31,20 @@ orders the gates (i, f, o, g) and holds -z for the three sigmoid gates: the
 forward multiplies W, U and b per call by a gate permutation and sign, which
 is exact, so one contiguous [3, B, u] block takes the sigmoid as exp, add 1,
 divide. A step is one GEMM and 10 in-place ufunc calls on those blocks;
-nothing is allocated per step. Backward reads the same slabs, writes dL/dz
-into a [T, B, 4u] slab in the stored (i, f, g, o) order, and forms the W, U,
-b and input gradients as 2-D GEMMs over its T*B rows.
+nothing is allocated per step.
+
+The steps run in blocks of about _LSTM_BLOCK elements per gate, and each
+block first projects its own input: for B > 1 and T > 1 one [B, Cin] x
+[Cin, u] GEMM per (step, gate), which writes each gate block contiguously and
+gives the same bits as a [T, Cin] x [Cin, u] GEMM per (window, gate), only
+faster. At B = 1 that would be a GEMV (slower, and not the same bits) and at
+T = 1 a single step, so there all T steps are one block projected per
+window. With keep=True every block is a view of the whole A, C and TC slabs,
+which the backward reads. With keep=False one block-sized A is reused, one
+[B, u] row holds c and one tanh(c) for every step (a step stride of 0), and
+only H, the output, spans the sequence. Backward writes dL/dz into a
+[T, B, 4u] slab in the stored (i, f, g, o) order, and forms the W, U, b and
+input gradients as 2-D GEMMs over its T*B rows.
 """
 
 from __future__ import annotations
@@ -47,10 +61,11 @@ from .tensor import DTYPE, Rng, glorot_uniform
 # 28 ms in 8192-row blocks and 71 ms as one whole-batch window matrix.
 _BLOCK_ROWS = 8192
 
-# LSTM backward: elements per gate in one block of steps (steps x B x u). A
-# block's step-independent gradient factors are formed together and read back
-# while still in cache: at B=64, T=246, u=64 they took 27 ms as whole-sequence
-# passes and 12 ms in blocks of this size.
+# LSTM: elements per gate in one block of steps (steps x B x u). A block's
+# input projection (forward) or step-independent gradient factors (backward)
+# are formed together and read back while still in cache: at B=64, T=246,
+# u=64 the backward factors took 27 ms as whole-sequence passes and 12 ms in
+# blocks of this size.
 _LSTM_BLOCK = 16384
 
 # LSTM slab gate order (i, f, o, g): slab gate k is stored gate _SLAB_GATES[k]
@@ -125,7 +140,7 @@ class Conv1D:
     def params(self) -> dict[str, np.ndarray]:
         return {"kernels": self.kernels, "bias": self.bias}
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, keep: bool = True):
         K, Cin, Cout = self.kernels.shape
         B, T, C = x.shape
         if C != Cin:
@@ -138,7 +153,7 @@ class Conv1D:
         for rows, cols in _window_blocks(x, K):
             np.matmul(cols, flat_kernels, out=y[rows].reshape(-1, Cout))
         y += self.bias
-        return y, {"x": x}
+        return y, ({"x": x} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         """(grad_x, parameter grads); grad_x is None when input_grad is False."""
@@ -172,7 +187,7 @@ class MaxPool1D:
     def params(self) -> dict[str, np.ndarray]:
         return {}
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, keep: bool = True):
         B, T, C = x.shape
         p = self.pool_size
         if T < p:
@@ -182,6 +197,8 @@ class MaxPool1D:
         y = taps[0].copy()
         for tap in taps[1:]:
             np.maximum(y, tap, out=y)
+        if not keep:
+            return y, None
         # idx counts the taps before the first one equal to the max, which is
         # the first-index tie-break; its dtype only has to hold p - 1
         miss = taps[0] != y
@@ -213,9 +230,9 @@ class ReLULayer:
     def params(self) -> dict[str, np.ndarray]:
         return {}
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, keep: bool = True):
         x = np.asarray(x, dtype=DTYPE)
-        return relu(x), {"x": x}
+        return relu(x), ({"x": x} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray):
         return relu_backward(cache["x"], grad_out), {}
@@ -239,12 +256,12 @@ class Dense:
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, keep: bool = True):
         if x.shape[1] != self.weights.shape[0]:
             raise ShapeError(
                 f"dense: input dim {x.shape[1]} != weight rows {self.weights.shape[0]}"
             )
-        return x @ self.weights + self.bias, {"x": x}
+        return x @ self.weights + self.bias, ({"x": x} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray):
         x = cache["x"]
@@ -262,8 +279,8 @@ class Flatten:
     def params(self) -> dict[str, np.ndarray]:
         return {}
 
-    def forward(self, x: np.ndarray):
-        return x.reshape(x.shape[0], -1), {"in_shape": x.shape}
+    def forward(self, x: np.ndarray, keep: bool = True):
+        return x.reshape(x.shape[0], -1), ({"in_shape": x.shape} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray):
         return grad_out.reshape(cache["in_shape"]), {}
@@ -302,7 +319,7 @@ class LSTM:
     def params(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "U": self.U, "b": self.b}
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, keep: bool = True):
         B, T, Cin = x.shape
         if T == 0:
             raise ShapeError("lstm: empty sequence")
@@ -317,38 +334,59 @@ class LSTM:
         def slab(m):
             return m.reshape(-1, 4, u)[:, _SLAB_GATES] * _SLAB_SIGNS
 
+        W = slab(self.W).transpose(1, 0, 2)  # [4, Cin, u]
+        bias = slab(self.b).reshape(4, 1, u)
+        U = slab(self.U).reshape(u, 4 * u)
+        # Steps run in blocks of n, each projecting its own input straight
+        # into its gate slots (see the module docstring): per (step, gate),
+        # or at B = 1 and T = 1 per (window, gate), in one block.
+        per_window = B == 1 or T == 1
+        n = T if per_window else min(T, max(1, _LSTM_BLOCK // (B * u)))
         # A[t, k] is slab gate k of step t: -z (i, f, o) or z (g) before the
-        # loop reaches step t, the activated gate after. The projection writes
-        # each gate straight into its slot, one [T, Cin] x [Cin, u] GEMM per
-        # (window, gate).
-        A = np.empty((T, 4, B, u), dtype=DTYPE)
-        np.matmul(x[:, None], slab(self.W).transpose(1, 0, 2), out=A.transpose(2, 1, 0, 3))
-        A += slab(self.b).reshape(4, 1, u)
-        C = np.empty((T + 1, B, u), dtype=DTYPE)  # C[t + 1] = c_t, C[0] = c_{-1} = 0
+        # loop reaches step t, the activated gate after.
         H = np.empty((T + 1, B, u), dtype=DTYPE)  # H[t + 1] = h_t, H[0] = h_{-1} = 0
+        if keep:
+            A = np.empty((T, 4, B, u), dtype=DTYPE)
+            C = np.empty((T + 1, B, u), dtype=DTYPE)  # C[t + 1] = c_t, C[0] = c_{-1} = 0
+            TC = np.empty((T, B, u), dtype=DTYPE)  # tanh(c_t)
+        else:
+            # no backward follows: one block of gates is reused, and one row
+            # each holds c and tanh(c) for every step (a step stride of 0)
+            A = np.empty((n, 4, B, u), dtype=DTYPE)
+            c_row, tc_row = np.empty((2, B, u), dtype=DTYPE)
+            C = np.lib.stride_tricks.as_strided(c_row, (T + 1, B, u), (0, *c_row.strides))
+            TC = np.lib.stride_tricks.as_strided(tc_row, (T, B, u), (0, *tc_row.strides))
         C[0] = 0.0
         H[0] = 0.0
-        TC = np.empty((T, B, u), dtype=DTYPE)  # tanh(c_t)
-        U = slab(self.U).reshape(u, 4 * u)
         hU = np.empty((B, 4 * u), dtype=DTYPE)
         hU4 = hU.reshape(B, 4, u).transpose(1, 0, 2)
         ig = np.empty((B, u), dtype=DTYPE)
         # exp(-z) overflow saturates the sigmoid to 0.0, the correct limit
         with np.errstate(over="ignore"):
-            steps = zip(A, A[:, :3], A[:, 3], H[:-1], H[1:], C[:-1], C[1:], TC)
-            for a, s, g, h_prev, h, c_prev, c, tc in steps:
-                np.matmul(h_prev, U, out=hU)
-                np.add(a, hU4, out=a)
-                np.exp(s, out=s)  # sigmoid on i, f and o: s holds -z
-                np.add(1.0, s, out=s)
-                np.divide(1.0, s, out=s)
-                np.tanh(g, out=g)
-                np.multiply(s[1], c_prev, out=c)
-                np.multiply(s[0], g, out=ig)
-                np.add(c, ig, out=c)
-                np.tanh(c, out=tc)
-                np.multiply(s[2], tc, out=h)
-        return H[1:].transpose(1, 0, 2), {"x": x, "A": A, "C": C, "TC": TC, "H": H}
+            for t0 in range(0, T, n):
+                t1 = min(t0 + n, T)
+                blk = A[t0:t1] if keep else A[: t1 - t0]
+                if per_window:
+                    np.matmul(x[:, None, t0:t1], W, out=blk.transpose(2, 1, 0, 3))
+                else:
+                    np.matmul(x.transpose(1, 0, 2)[t0:t1, None], W, out=blk)
+                blk += bias
+                now, nxt = slice(t0, t1), slice(t0 + 1, t1 + 1)
+                steps = zip(blk, blk[:, :3], blk[:, 3], H[now], H[nxt], C[now], C[nxt], TC[now])
+                for a, s, g, h_prev, h, c_prev, c, tc in steps:
+                    np.matmul(h_prev, U, out=hU)
+                    np.add(a, hU4, out=a)
+                    np.exp(s, out=s)  # sigmoid on i, f and o: s holds -z
+                    np.add(1.0, s, out=s)
+                    np.divide(1.0, s, out=s)
+                    np.tanh(g, out=g)
+                    np.multiply(s[1], c_prev, out=c)
+                    np.multiply(s[0], g, out=ig)
+                    np.add(c, ig, out=c)
+                    np.tanh(c, out=tc)
+                    np.multiply(s[2], tc, out=h)
+        y = H[1:].transpose(1, 0, 2)
+        return y, ({"x": x, "A": A, "C": C, "TC": TC, "H": H} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray):
         x, A, C, TC, H = cache["x"], cache["A"], cache["C"], cache["TC"], cache["H"]

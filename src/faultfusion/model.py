@@ -22,7 +22,10 @@ Every conv block is Conv1D -> ReLU -> MaxPool. The layers take batches only;
 ``Model.forward`` checks its inputs once and runs a single window as a batch
 of one. The softmax is applied by ``Model.forward``; ``Model.backward``
 expects the gradient w.r.t. the pre-softmax logits (the fused cross-entropy
-form).
+form). ``Model.forward(..., keep=False)`` is the forward-only pass that
+scoring uses (``training.predict_proba``, so ``evaluate`` and the estimators,
+and ``infer``): no layer keeps a backward cache, it returns (probs, None),
+and probs are the same bytes as with keep=True.
 """
 
 from __future__ import annotations
@@ -225,20 +228,27 @@ class Model:
                     out[f"{stack}.{idx}.{key}"] = arr
         return out
 
-    @staticmethod
-    def _run_branch(layers, x, caches):
-        out = x
-        for layer in layers:
-            out, cache = layer.forward(out)
-            caches.append(cache)
-        return out
+    def _run_stack(self, stack, x, caches):
+        """Run one stack of layers; a caches dict gets their caches as caches[stack]."""
+        keep = caches is not None
+        kept = caches.setdefault(stack, []) if keep else None
+        for layer in self.stacks[stack]:
+            x, cache = layer.forward(x, keep=keep)
+            if keep:
+                kept.append(cache)
+        return x
 
-    def forward(self, x_vib: np.ndarray | None = None, x_ac: np.ndarray | None = None):
+    def forward(
+        self, x_vib: np.ndarray | None = None, x_ac: np.ndarray | None = None, *, keep: bool = True
+    ):
         """Class posteriors for one window or a batch of windows.
 
         Every branch of the kind gets one [input_len, 1] window, or every one
         a [B, input_len, 1] batch of the same B; anything else is a
-        ShapeError. Returns (probs, caches); probs is [C] or [B, C].
+        ShapeError. Returns (probs, caches); probs is [C] or [B, C]. With
+        keep=False no backward follows: every layer keeps no cache, so each
+        activation is freed once the next layer has read it, and caches is
+        None. The probabilities are the same bytes either way.
         """
         inputs = {"vib": x_vib, "ac": x_ac}
         branches = kind_branches(self.kind)
@@ -258,14 +268,11 @@ class Model:
         single = len(shape) == 2
         if single:
             xs = [x[None] for x in xs]
-        caches: dict = {}
-        feats = [
-            self._run_branch(self.stacks[branch], x, caches.setdefault(branch, []))
-            for branch, x in zip(branches, xs)
-        ]
-        caches["widths"] = [feat.shape[-1] for feat in feats]
-        caches["head"] = []
-        logits = self._run_branch(self.stacks["head"], concat(*feats), caches["head"])
+        caches: dict | None = {} if keep else None
+        feats = [self._run_stack(branch, x, caches) for branch, x in zip(branches, xs)]
+        if keep:
+            caches["widths"] = [feat.shape[-1] for feat in feats]
+        logits = self._run_stack("head", concat(*feats), caches)
         probs = softmax(logits)
         check_finite(probs, "model output")
         return (probs[0] if single else probs), caches

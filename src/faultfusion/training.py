@@ -182,13 +182,14 @@ class TrainReport:
 
 
 def predict_proba(model: Model, dataset, indices: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Class posteriors [n, C] of the given windows, batch_size windows per forward."""
+    """Class posteriors [n, C] of the given windows, batch_size windows per forward
+    that keeps no backward cache."""
     indices = np.asarray(indices, dtype=np.int64)
     out = np.empty((indices.size, model.spec.num_classes), dtype=DTYPE)
     for start in range(0, indices.size, batch_size):
         chunk = indices[start : start + batch_size]
-        # [0] drops the caches at once, not during the next chunk's forward
-        out[start : start + chunk.size] = model.forward(**_model_inputs(model, dataset, chunk))[0]
+        inputs = _model_inputs(model, dataset, chunk)
+        out[start : start + chunk.size] = model.forward(**inputs, keep=False)[0]
     return out
 
 

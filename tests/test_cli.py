@@ -311,6 +311,32 @@ class TestTrain:
         assert code == 1
         assert_one_line_error(capsys, f"usage error: {message}")
 
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            ("decay_s = 1e12\nbase_repetition_hz = 1e-9", None),
+            ("sample_rate_hz = 1e300\nbase_repetition_hz = 1e-10",
+             "class 0 repeats every inf samples"),
+        ],
+        ids=["decay_1e12_at_1e-9_hz", "period_overflows"],
+    )
+    def test_slow_impulse_period(self, tmp_path, capsys, lines, message):
+        """Each as reproduced: 2 classes, window_len 100, 20 windows per class."""
+        text = "[synth]\nnum_classes = 2\nwindows_per_class = 20\nwindow_len = 100\n"
+        config = write_config(tmp_path, text + lines + "\n")
+        out = tmp_path / "d"
+        code = main(["generate", "--config", config, "--out", str(out)])
+        if message is None:  # one burst at most, over a recording of 2000 samples
+            assert code == 0
+            recordings = [path for path in out.iterdir() if path.suffix == ".f32"]
+            assert len(recordings) == 4
+            for path in recordings:
+                samples = np.fromfile(path, dtype="<f4")
+                assert samples.size == 2000 and np.isfinite(samples).all()
+            return
+        assert code == 1
+        assert_one_line_error(capsys, f"usage error: {message}")
+
 
 # A value other than the default for every field of each dataclass an INI
 # section reads, so that a field the codec drops shows up as a default.

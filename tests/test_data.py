@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ class TestSegment:
         wins = segment(rec, 100, 50)
         assert wins.shape[0] == 5
         assert np.array_equal(wins[1, :, 0], np.arange(50.0, 150.0))
+
+    @pytest.mark.parametrize(
+        "window_len,hop", [(0, 100), (-5, 100), (100, 0), (100, -1)],
+        ids=["window_0", "window_negative", "hop_0", "hop_negative"],
+    )
+    def test_window_or_hop_below_one_is_data_error(self, window_len, hop):
+        rec = Recording(samples=np.zeros(300))
+        with pytest.raises(DataError, match=f"got {window_len} and {hop}"):
+            segment(rec, window_len, hop)
 
 
 def _two_pass_normalize(w):
@@ -278,6 +288,30 @@ class TestSynthRecording:
                          base_repetition_hz=0.01, vib_noise_sigma=0.0)
         assert not synth_recording(0, spec, Rng(689), VIBRATION).samples.any()
 
+    def test_first_burst_before_sample_zero_with_a_decay_past_the_recording(self):
+        # at 1e-9 Hz the period is 4.2e13 samples, and seed 689 starts the
+        # first burst 1.4e10 samples before sample 0; with decay_s = 1e12 it
+        # still covers all of x, which takes its values from the burst's own
+        # clipped span, not from a tail as long as the jitter
+        spec = SynthSpec(num_classes=2, windows_per_class=20, window_len=100,
+                         decay_s=1e12, base_repetition_hz=1e-9, vib_noise_sigma=0.0)
+        tracemalloc.start()
+        try:
+            x = synth_recording(0, spec, Rng(689), VIBRATION).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        rng = Rng(689)
+        period = spec.sample_rate_hz / spec.repetition_hz(0)
+        start = round(rng.uniform() * period + (rng.uniform() - 0.5) * 0.02 * period)
+        amp = spec.impulse_amplitude * (0.8 + 0.4 * rng.uniform())
+        assert start == -14042890845
+        t = (np.arange(x.size) - start) / spec.sample_rate_hz
+        f_res = spec.resonance_hz(0, VIBRATION)
+        expected = amp * np.exp(-t / spec.decay_s) * np.sin(2 * np.pi * f_res * t)
+        assert np.allclose(x, expected, rtol=0, atol=1e-6)
+
     @pytest.mark.parametrize("class_id", [0, 2])
     def test_burst_count_matches_repetition_rate(self, class_id):
         # one second of clean signal; bursts counted by threshold crossings
@@ -348,3 +382,8 @@ class TestSynthSpecValidation:
     def test_negative_sigma(self):
         with pytest.raises(ConfigError, match="sigma"):
             SynthSpec(vib_noise_sigma=-1.0)
+
+    def test_non_finite_impulse_period(self):
+        # 1e300 / 1e-10 overflows: class 0 would repeat every inf samples
+        with pytest.raises(ConfigError, match="class 0 repeats every inf samples"):
+            SynthSpec(sample_rate_hz=1e300, base_repetition_hz=1e-10)

@@ -547,6 +547,53 @@ class TestLSTMSlabs:
         assert all(np.isfinite(g).all() for g in grads.values())
 
 
+class TestForwardWithoutCaches:
+    """keep=False: no cache, the same output bytes."""
+
+    @pytest.mark.parametrize(
+        "layer,shape",
+        [
+            (Conv1D.init(5, 2, 3, Rng(40)), (3, 20, 2)),
+            (MaxPool1D(3), (3, 20, 2)),
+            (ReLULayer(), (3, 20, 2)),
+            (Flatten(), (3, 20, 2)),
+            (Dense.init(6, 4, Rng(41)), (3, 6)),
+            (LSTM.init(2, 3, Rng(42)), (3, 20, 2)),
+        ],
+        ids=["Conv1D", "MaxPool1D", "ReLULayer", "Flatten", "Dense", "LSTM"],
+    )
+    def test_every_layer_returns_no_cache_and_the_same_output(self, layer, shape):
+        x = Rng(43).normal(shape)
+        y, cache = layer.forward(x)
+        y_free, none = layer.forward(x, keep=False)
+        assert cache is not None and none is None
+        assert y_free.shape == y.shape and y_free.tobytes() == y.tobytes()
+
+    # at B = 2 the steps run in blocks of _LSTM_BLOCK // (B * u), so one step
+    # more leaves a one-step last block; B = 1 runs all steps as one block
+    @pytest.mark.parametrize("B", [2, 1])
+    def test_lstm_matches_with_a_one_step_last_block(self, B):
+        rng = Rng(44)
+        layer = LSTM.init(4, 64, rng)
+        layer.b = rng.normal(4 * 64)
+        T = layers._LSTM_BLOCK // (2 * 64) + 1
+        x = rng.normal((B, T, 4)) * 2.0
+        y, cache = layer.forward(x)
+        y_free, none = layer.forward(x, keep=False)
+        assert none is None
+        assert y_free.tobytes() == y.tobytes()
+        assert y.tobytes() == _lstm_per_step(layer, x).tobytes()
+
+    def test_lstm_saturated_input_is_silent_and_restores_error_state(self):
+        layer = LSTM.init(2, 3, Rng(33))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, cache = layer.forward(np.full((2, 5, 2), 1e6), keep=False)
+            assert np.geterr() == before
+        assert cache is None and np.isfinite(y).all()
+
+
 class TestFlattenConcat:
     def test_row_major(self):
         assert np.array_equal(

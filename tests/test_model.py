@@ -18,6 +18,7 @@ from faultfusion.model import (
     build_model,
     conv_pool_chain,
     load_model,
+    reduced_spec,
     save_model,
     small_spec,
 )
@@ -170,6 +171,27 @@ class TestForward:
         model = build_model(small_spec(FUSION), Rng(12))
         with pytest.raises(ShapeError, match=r"fusion takes a \[64, 1\] window"):
             model.forward(x_vib=np.zeros(vib_shape), x_ac=np.zeros(ac_shape))
+
+
+SPECS = {"small": small_spec, "reduced": lambda kind: reduced_spec(kind, 9), "reference": ModelSpec}
+
+
+@pytest.mark.parametrize("batch", [None, 3, 256], ids=["window", "B3", "B256"])
+@pytest.mark.parametrize("size", SPECS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_forward_without_caches_gives_the_same_bytes(kind, size, batch):
+    spec = SPECS[size](kind)
+    model = build_model(spec, Rng(50))
+    rng = Rng(51)
+    shape = (spec.input_len, 1) if batch is None else (batch, spec.input_len, 1)
+    inputs = {f"x_{branch}": rng.normal(shape) for branch in BRANCHES[kind]}
+    kept = model.forward(**inputs)
+    assert type(kept) is tuple and len(kept) == 2 and kept[1] is not None
+    probs = kept[0]
+    del kept  # a reference B = 256 cache is about 740 MiB
+    free = model.forward(**inputs, keep=False)
+    assert type(free) is tuple and len(free) == 2 and free[1] is None
+    assert free[0].shape == probs.shape and free[0].tobytes() == probs.tobytes()
 
 
 def _whole_net_loss(model, inputs, target):

@@ -8,7 +8,7 @@ from conftest import assert_grads_close, central_diff
 from faultfusion.data import PAIRED, VIB_ONLY, WindowedDataset, normalize_window
 from faultfusion.errors import ConfigError, DataError, NumericError
 from faultfusion.layers import softmax
-from faultfusion.model import FUSION, VIBRATION_CNN, build_model, small_spec
+from faultfusion.model import FUSION, VIBRATION_CNN, ModelSpec, build_model, small_spec
 from faultfusion.tensor import Rng
 from faultfusion.training import (
     AdamState,
@@ -17,6 +17,7 @@ from faultfusion.training import (
     batch_cross_entropy,
     evaluate,
     fit,
+    predict_proba,
     render_report,
     stratified_split,
 )
@@ -328,3 +329,20 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 0.75 * peaks[0], peaks
+
+    def test_reference_fusion_batch_keeps_no_backward_caches(self):
+        # with every backward cache kept, this forward peaks near 750 MiB
+        model = build_model(ModelSpec(kind=FUSION), Rng(10))
+        rng = Rng(11)
+        n = 256
+        ds = WindowedDataset(vib=rng.normal((n, 1000, 1)), ac=rng.normal((n, 1000, 1)),
+                             labels=np.arange(n) % 9, source_ids=["s"] * n,
+                             class_names=[f"c{j}" for j in range(9)], mode=PAIRED)
+        tracemalloc.start()
+        try:
+            probs = predict_proba(model, ds, np.arange(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (n, 9)
+        assert peak <= 150 * 2**20, f"{peak / 2**20:.1f} MiB"
