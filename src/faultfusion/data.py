@@ -34,6 +34,9 @@ BRANCH_MODES = {("vib",): VIB_ONLY, ("ac",): AC_ONLY, ("vib", "ac"): PAIRED}
 
 DEFAULT_WINDOW_LEN = 1000
 DEFAULT_SAMPLE_RATE = 42000.0
+# Samples per sensor a SynthSpec may ask for, 9.3x the default 9 x 200 x 1000.
+# synth_dataset peaks at about 34 bytes per sample, so about 0.6 GiB here.
+MAX_SYNTH_SAMPLES = 1 << 24
 
 MANIFEST_HEADER = ["file_path", "modality", "label_name", "pair_key"]
 
@@ -390,6 +393,12 @@ class SynthSpec:
             raise ConfigError("windows_per_class must be >= 1")
         if self.window_len < 1:
             raise ConfigError(f"window_len must be >= 1, got {self.window_len}")
+        samples = self.num_classes * self.windows_per_class * self.window_len
+        if samples > MAX_SYNTH_SAMPLES:
+            raise ConfigError(
+                f"num_classes x windows_per_class x window_len is {samples} samples per sensor,"
+                f" above the limit of {MAX_SYNTH_SAMPLES}"
+            )
         if not 0 < self.sample_rate_hz < np.inf:  # also rejects NaN
             raise ConfigError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         if self.repetition_step_hz == 0:
@@ -404,10 +413,11 @@ class SynthSpec:
                     f"repetition_hz of class {c} is {self.repetition_hz(c)}:"
                     " it must be finite and > 0"
                 )
-            if not np.isfinite(self.sample_rate_hz / self.repetition_hz(c)):
+            period = self.sample_rate_hz / self.repetition_hz(c)
+            if not 1 <= period < np.inf:  # below one sample, synth_recording spins
                 raise ConfigError(
-                    f"class {c} repeats every {self.sample_rate_hz / self.repetition_hz(c)}"
-                    " samples (sample_rate_hz / repetition_hz): it must be finite"
+                    f"class {c} repeats every {period} samples"
+                    " (sample_rate_hz / repetition_hz): it must be finite and >= 1"
                 )
             for modality in MODALITIES:
                 if not np.isfinite(self.resonance_hz(c, modality)):

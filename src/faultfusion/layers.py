@@ -8,6 +8,13 @@ for it, and y is the same bytes. The backward pass of each layer returns the
 gradient w.r.t. its input plus parameter gradients summed over the batch;
 finite-difference tests pin every formula here.
 
+Each layer computes in the dtype of its input. The parameters stay float64;
+a float32 input makes the layer read them cast to float32 (for float64 the
+cast is a no-op), and every output, cache and gradient is allocated in the
+dtype of the input or of the incoming gradient, so a float32 pass stays
+float32. Bias gradients are ones-vector GEMVs, which are faster than a sum
+over the batch and time axes and, in float32, more accurate.
+
 Conventions: cross-correlation (no kernel flip), valid padding, stride 1,
 pool stride == pool size with first-index tie-break, ReLU derivative 0 at 0,
 LSTM gate blocks of the stored W, U, b (and so of FMDL1 and the gradients)
@@ -52,7 +59,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import DTYPE, Rng, glorot_uniform
+from .tensor import DTYPE, Rng, as_float, glorot_uniform
 
 
 # im2col rows per GEMM block: small enough that a block stays in cache, so the
@@ -94,18 +101,24 @@ def _window_blocks(xb: np.ndarray, K: int):
         yield rows, view[rows].reshape(-1, K * Cin)
 
 
+def _column_sums(g: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last, as a ones-vector GEMV."""
+    rows = g.reshape(-1, g.shape[-1])
+    return np.ones(rows.shape[0], dtype=rows.dtype) @ rows
+
+
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=DTYPE), 0.0)
+    return np.maximum(as_float(x), 0.0)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Mask gradient where the forward input was <= 0."""
-    return np.asarray(grad_out, dtype=DTYPE) * (np.asarray(x) > 0)
+    return as_float(grad_out) * (np.asarray(x) > 0)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax for [C] or [B, C] inputs."""
-    z = np.asarray(z, dtype=DTYPE)
+    z = as_float(z)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -115,7 +128,7 @@ def concat(*parts: np.ndarray) -> np.ndarray:
     """Concatenate feature vectors along the last axis; one part is returned as is."""
     if len(parts) == 1:
         return parts[0]
-    return np.concatenate([np.asarray(p, dtype=DTYPE) for p in parts], axis=-1)
+    return np.concatenate([as_float(p) for p in parts], axis=-1)
 
 
 class Conv1D:
@@ -148,11 +161,11 @@ class Conv1D:
         if T < K:
             raise ShapeError(f"conv1d: window shorter than kernel ({T} < {K})")
         x = np.ascontiguousarray(x)
-        flat_kernels = self.kernels.reshape(K * Cin, Cout)
-        y = np.empty((B, T - K + 1, Cout), dtype=DTYPE)
+        flat_kernels = self.kernels.astype(x.dtype, copy=False).reshape(K * Cin, Cout)
+        y = np.empty((B, T - K + 1, Cout), dtype=x.dtype)
         for rows, cols in _window_blocks(x, K):
             np.matmul(cols, flat_kernels, out=y[rows].reshape(-1, Cout))
-        y += self.bias
+        y += self.bias.astype(x.dtype, copy=False)
         return y, ({"x": x} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
@@ -165,13 +178,14 @@ class Conv1D:
             raise ShapeError(f"conv1d: grad shape {grad_out.shape} != {(B, To, Cout)}")
         grad_x = None
         if input_grad:
+            kernels = self.kernels.astype(grad_out.dtype, copy=False)
             grad_x = np.zeros_like(x)
             for k in range(K):
-                grad_x[:, k : k + To, :] += grad_out @ self.kernels[k].T
-        grad_k = np.zeros((K * Cin, Cout), dtype=DTYPE)  # rows in [K, Cin] order
+                grad_x[:, k : k + To, :] += grad_out @ kernels[k].T
+        grad_k = np.zeros((K * Cin, Cout), dtype=grad_out.dtype)  # rows in [K, Cin] order
         for rows, cols in _window_blocks(x, K):
             grad_k += cols.T @ grad_out[rows].reshape(-1, Cout)
-        grad_b = grad_out.sum(axis=(0, 1))
+        grad_b = _column_sums(grad_out)
         grads = {"kernels": grad_k.reshape(K, Cin, Cout), "bias": grad_b}
         return grad_x, grads
 
@@ -215,7 +229,7 @@ class MaxPool1D:
         if grad_out.shape != (B, To, C):
             raise ShapeError(f"maxpool: grad shape {grad_out.shape} != {(B, To, C)}")
         idx = cache["idx"]
-        grad_x = np.zeros((B, T, C), dtype=DTYPE)
+        grad_x = np.zeros((B, T, C), dtype=grad_out.dtype)
         for j in range(p):
             np.multiply(grad_out, idx == j, out=grad_x[:, j : To * p : p, :])
         # g * False is -0.0 for negative g; adding +0.0 makes every unrouted
@@ -231,7 +245,6 @@ class ReLULayer:
         return {}
 
     def forward(self, x: np.ndarray, keep: bool = True):
-        x = np.asarray(x, dtype=DTYPE)
         return relu(x), ({"x": x} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray):
@@ -261,15 +274,16 @@ class Dense:
             raise ShapeError(
                 f"dense: input dim {x.shape[1]} != weight rows {self.weights.shape[0]}"
             )
-        return x @ self.weights + self.bias, ({"x": x} if keep else None)
+        y = x @ self.weights.astype(x.dtype, copy=False) + self.bias.astype(x.dtype, copy=False)
+        return y, ({"x": x} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray):
         x = cache["x"]
         if grad_out.shape != (x.shape[0], self.weights.shape[1]):
             raise ShapeError(f"dense: grad shape {grad_out.shape} does not match forward")
         grad_w = x.T @ grad_out
-        grad_b = grad_out.sum(axis=0)
-        grad_x = grad_out @ self.weights.T
+        grad_b = _column_sums(grad_out)
+        grad_x = grad_out @ self.weights.astype(grad_out.dtype, copy=False).T
         return grad_x, {"weights": grad_w, "bias": grad_b}
 
 
@@ -329,10 +343,13 @@ class LSTM:
 
         # slab copies of W, U and b: gates reordered to (i, f, o, g), sigmoid
         # columns negated (exact in IEEE arithmetic, so the slab gets exactly
-        # -z for i, f and o). Built per call, because Adam updates the stored
-        # arrays in place.
+        # -z for i, f and o). Built per call, in the input's dtype, because
+        # Adam updates the stored arrays in place.
+        dt = x.dtype
+        signs = _SLAB_SIGNS.astype(dt, copy=False)
+
         def slab(m):
-            return m.reshape(-1, 4, u)[:, _SLAB_GATES] * _SLAB_SIGNS
+            return m.astype(dt, copy=False).reshape(-1, 4, u)[:, _SLAB_GATES] * signs
 
         W = slab(self.W).transpose(1, 0, 2)  # [4, Cin, u]
         bias = slab(self.b).reshape(4, 1, u)
@@ -344,23 +361,23 @@ class LSTM:
         n = T if per_window else min(T, max(1, _LSTM_BLOCK // (B * u)))
         # A[t, k] is slab gate k of step t: -z (i, f, o) or z (g) before the
         # loop reaches step t, the activated gate after.
-        H = np.empty((T + 1, B, u), dtype=DTYPE)  # H[t + 1] = h_t, H[0] = h_{-1} = 0
+        H = np.empty((T + 1, B, u), dtype=dt)  # H[t + 1] = h_t, H[0] = h_{-1} = 0
         if keep:
-            A = np.empty((T, 4, B, u), dtype=DTYPE)
-            C = np.empty((T + 1, B, u), dtype=DTYPE)  # C[t + 1] = c_t, C[0] = c_{-1} = 0
-            TC = np.empty((T, B, u), dtype=DTYPE)  # tanh(c_t)
+            A = np.empty((T, 4, B, u), dtype=dt)
+            C = np.empty((T + 1, B, u), dtype=dt)  # C[t + 1] = c_t, C[0] = c_{-1} = 0
+            TC = np.empty((T, B, u), dtype=dt)  # tanh(c_t)
         else:
             # no backward follows: one block of gates is reused, and one row
             # each holds c and tanh(c) for every step (a step stride of 0)
-            A = np.empty((n, 4, B, u), dtype=DTYPE)
-            c_row, tc_row = np.empty((2, B, u), dtype=DTYPE)
+            A = np.empty((n, 4, B, u), dtype=dt)
+            c_row, tc_row = np.empty((2, B, u), dtype=dt)
             C = np.lib.stride_tricks.as_strided(c_row, (T + 1, B, u), (0, *c_row.strides))
             TC = np.lib.stride_tricks.as_strided(tc_row, (T, B, u), (0, *tc_row.strides))
         C[0] = 0.0
         H[0] = 0.0
-        hU = np.empty((B, 4 * u), dtype=DTYPE)
+        hU = np.empty((B, 4 * u), dtype=dt)
         hU4 = hU.reshape(B, 4, u).transpose(1, 0, 2)
-        ig = np.empty((B, u), dtype=DTYPE)
+        ig = np.empty((B, u), dtype=dt)
         # exp(-z) overflow saturates the sigmoid to 0.0, the correct limit
         with np.errstate(over="ignore"):
             for t0 in range(0, T, n):
@@ -395,6 +412,7 @@ class LSTM:
         if grad_out.shape != (B, T, u):
             raise ShapeError(f"lstm: grad shape {grad_out.shape} != {(B, T, u)}")
         G = grad_out.transpose(1, 0, 2)
+        dt = grad_out.dtype
         # dZ[t] is dL/dz_t as [B, 4u] rows, the layout of the GEMMs below;
         # dZ4 views it gate-major. Per step:
         #   dh_t = G_t + dz_{t+1} U^T      dc_t = dc_{t+1} f_{t+1} + dh_t Q_t
@@ -404,14 +422,14 @@ class LSTM:
         #   P_o = (1 - o) o tanh(c_t)                       Q = (1 - tanh(c_t)^2) o
         # They are formed for a block of steps at a time, gate-major, so the
         # block is still in cache when the steps read it.
-        dZ = np.empty((T, B, 4 * u), dtype=DTYPE)
+        dZ = np.empty((T, B, 4 * u), dtype=dt)
         dZ4 = dZ.reshape(T, B, 4, u).transpose(0, 2, 1, 3)
         n = min(T, max(1, _LSTM_BLOCK // (B * u)))
-        P = np.empty((n, 4, B, u), dtype=DTYPE)
-        Q = np.empty((n, B, u), dtype=DTYPE)
-        UT = self.U.T
-        dh = np.zeros((B, u), dtype=DTYPE)
-        dc = np.zeros((B, u), dtype=DTYPE)
+        P = np.empty((n, 4, B, u), dtype=dt)
+        Q = np.empty((n, B, u), dtype=dt)
+        UT = self.U.astype(dt, copy=False).T
+        dh = np.zeros((B, u), dtype=dt)
+        dc = np.zeros((B, u), dtype=dt)
         for stop in range(T, 0, -n):
             start = max(0, stop - n)
             a, p, q = A[start:stop], P[: stop - start], Q[: stop - start]
@@ -438,6 +456,6 @@ class LSTM:
         dZ2 = dZ.reshape(T * B, 4 * u)
         grad_W = x.transpose(1, 0, 2).reshape(T * B, Cin).T @ dZ2
         grad_U = H[:T].reshape(T * B, u).T @ dZ2
-        grad_b = dZ2.sum(axis=0)
-        grad_x = (dZ2 @ self.W.T).reshape(T, B, Cin).transpose(1, 0, 2)
+        grad_b = _column_sums(dZ2)
+        grad_x = (dZ2 @ self.W.astype(dt, copy=False).T).reshape(T, B, Cin).transpose(1, 0, 2)
         return grad_x, {"W": grad_W, "U": grad_U, "b": grad_b}

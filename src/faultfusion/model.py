@@ -20,12 +20,15 @@ fixes the row order of the head's first weight matrix in FMDL1 files.
 
 Every conv block is Conv1D -> ReLU -> MaxPool. The layers take batches only;
 ``Model.forward`` checks its inputs once and runs a single window as a batch
-of one. The softmax is applied by ``Model.forward``; ``Model.backward``
-expects the gradient w.r.t. the pre-softmax logits (the fused cross-entropy
-form). ``Model.forward(..., keep=False)`` is the forward-only pass that
-scoring uses (``training.predict_proba``, so ``evaluate`` and the estimators,
-and ``infer``): no layer keeps a backward cache, it returns (probs, None),
-and probs are the same bytes as with keep=True.
+of one. The layers compute in their input's dtype over float64 weights, so a
+float32 batch makes a float32 pass: ``training.fit`` trains that way, while
+scoring passes float64 windows. The softmax is applied by ``Model.forward``;
+``Model.backward`` expects the gradient w.r.t. the pre-softmax logits (the
+fused cross-entropy form). ``Model.forward(..., keep=False)`` is the
+forward-only pass that scoring uses (``training.predict_proba``, so
+``evaluate`` and the estimators, and ``infer``): no layer keeps a backward
+cache, it returns (probs, None), and probs are the same bytes as with
+keep=True.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .codec import encode, parsers
 from .data import ACOUSTIC, VIBRATION
 from .errors import ConfigError, DataError, ShapeError
 from .layers import LSTM, Conv1D, Dense, Flatten, MaxPool1D, ReLULayer, concat, softmax
-from .tensor import DTYPE, Rng, check_finite
+from .tensor import Rng, as_float, check_finite
 
 VIBRATION_CNN = "vibration_cnn"
 ACOUSTIC_CNN_LSTM = "acoustic_cnn_lstm"
@@ -245,7 +248,9 @@ class Model:
 
         Every branch of the kind gets one [input_len, 1] window, or every one
         a [B, input_len, 1] batch of the same B; anything else is a
-        ShapeError. Returns (probs, caches); probs is [C] or [B, C]. With
+        ShapeError. The pass runs in float32 for a float32 input (training)
+        and in float64 for anything else (scoring); the weights stay float64.
+        Returns (probs, caches); probs is [C] or [B, C]. With
         keep=False no backward follows: every layer keeps no cache, so each
         activation is freed once the next layer has read it, and caches is
         None. The probabilities are the same bytes either way.
@@ -256,7 +261,7 @@ class Model:
             both = "both " if len(branches) > 1 else ""
             sensors = " and ".join(SENSORS[branch] for branch in branches)
             raise DataError(f"{self.kind} requires {both}{sensors} input")
-        xs = [np.asarray(inputs[branch], dtype=DTYPE) for branch in branches]
+        xs = [as_float(inputs[branch]) for branch in branches]
         shape = xs[0].shape
         window = (self.spec.input_len, 1)
         if any(x.shape != shape for x in xs) or shape[-2:] != window or len(shape) > 3:
@@ -279,7 +284,11 @@ class Model:
 
     def backward(self, caches, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients from the fused softmax + cross-entropy gradient,
-        [C] for a single window or [B, C] for a batch."""
+        [C] for a single window or [B, C] for a batch.
+
+        The pass runs in the dtype of the forward that made the caches, so
+        after a float32 forward the gradients are float32.
+        """
         grads: dict[str, np.ndarray] = {}
 
         def run_back(stack, grad, input_grad=True):
@@ -293,7 +302,8 @@ class Model:
                     grads[f"{stack}.{idx}.{key}"] = g
             return grad
 
-        grad = run_back("head", np.atleast_2d(grad_logits))
+        head_dtype = caches["head"][0]["x"].dtype
+        grad = run_back("head", np.atleast_2d(grad_logits).astype(head_dtype, copy=False))
         stop = 0
         for branch, width in zip(kind_branches(self.kind), caches["widths"]):
             start, stop = stop, stop + width

@@ -1,7 +1,10 @@
-"""Numeric substrate: float64 arrays, a deterministic PRNG, and weight init.
+"""Numeric substrate: float dtypes, a deterministic PRNG, and weight init.
 
 Conventions used throughout the package:
-  - all values are 64-bit floats (np.float64), row-major,
+  - parameters, optimizer state and scoring are 64-bit floats (DTYPE,
+    np.float64); training passes are 32-bit (TRAIN_DTYPE, np.float32): each
+    layer computes in the dtype of its input and casts its parameters to it,
+  - arrays are row-major,
   - layer inputs are batches: sequences are [batch, time, channels] and
     feature vectors [batch, features].
 """
@@ -13,6 +16,7 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 DTYPE = np.float64
+TRAIN_DTYPE = np.float32
 
 # SplitMix64 constants (Steele, Lea & Flood; the java.util.SplittableRandom mixer).
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -81,6 +85,12 @@ class Rng:
         offset = ((int(tag) + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         child = _mix64(np.array([self._seed ^ _U64(offset)], dtype=np.uint64))
         return Rng(int(child[0]))
+
+
+def as_float(x) -> np.ndarray:
+    """x as an array that keeps float32 and holds anything else as float64."""
+    x = np.asarray(x)
+    return x if x.dtype == TRAIN_DTYPE else x.astype(DTYPE, copy=False)
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:

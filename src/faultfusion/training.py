@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from .metrics import ConfusionMatrix
 from .model import SENSORS, Model, kind_branches
-from .tensor import DTYPE, Rng
+from .tensor import DTYPE, TRAIN_DTYPE, Rng
 
 WINDOW_GRANULARITY = "window"
 FILE_GRANULARITY = "file"
@@ -130,7 +130,8 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place; each gradient is cast up to
+    its parameter's dtype first, so a float32 pass updates float64 weights."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - config.beta1**t
@@ -139,6 +140,7 @@ def adam_step(
         g = grads[k]
         if g.shape != p.shape:
             raise DataError(f"gradient for {k} has shape {g.shape}, parameter {p.shape}")
+        g = g.astype(p.dtype, copy=False)
         m = state.m[k]
         v = state.v[k]
         m *= config.beta1
@@ -216,6 +218,11 @@ def fit(model: Model, dataset, config: TrainConfig) -> TrainReport:
     Training accuracy is measured on the fly from each batch's predictions
     before its update; validation accuracy uses the frozen end-of-epoch
     model.
+
+    Mixed precision with float64 master weights: each batch is cast to
+    float32, so its forward and backward run in float32 (the layers compute
+    in their input's dtype), while the weights, the Adam moments and the
+    validation pass stay float64.
     """
     if len(dataset) == 0:
         raise DataError("empty dataset")
@@ -234,7 +241,8 @@ def fit(model: Model, dataset, config: TrainConfig) -> TrainReport:
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
             targets = dataset.labels[batch]
-            probs, caches = model.forward(**_model_inputs(model, dataset, batch))
+            inputs = _model_inputs(model, dataset, batch)
+            probs, caches = model.forward(**{k: x.astype(TRAIN_DTYPE) for k, x in inputs.items()})
             loss, grad_logits = batch_cross_entropy(probs, targets)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")

@@ -317,8 +317,10 @@ class TestTrain:
             ("decay_s = 1e12\nbase_repetition_hz = 1e-9", None),
             ("sample_rate_hz = 1e300\nbase_repetition_hz = 1e-10",
              "class 0 repeats every inf samples"),
+            ("sample_rate_hz = 1000\nbase_repetition_hz = 1e9",
+             "class 0 repeats every 1e-06 samples"),
         ],
-        ids=["decay_1e12_at_1e-9_hz", "period_overflows"],
+        ids=["decay_1e12_at_1e-9_hz", "period_overflows", "period_below_one_sample"],
     )
     def test_slow_impulse_period(self, tmp_path, capsys, lines, message):
         """Each as reproduced: 2 classes, window_len 100, 20 windows per class."""
@@ -336,6 +338,25 @@ class TestTrain:
             return
         assert code == 1
         assert_one_line_error(capsys, f"usage error: {message}")
+
+    @pytest.mark.parametrize(
+        "lines,samples",
+        [
+            ("num_classes = 1000000000000\nwindows_per_class = 1\nwindow_len = 1", 10**12),
+            ("num_classes = 2\nwindows_per_class = 1000000000000\nwindow_len = 1000",
+             2 * 10**15),
+        ],
+        ids=["classes", "windows"],
+    )
+    def test_dataset_above_the_sample_limit(self, tmp_path, capsys, lines, samples):
+        """As reproduced: the first spun in SynthSpec's per-class checks, the
+        second ended in a numpy _ArrayMemoryError traceback."""
+        config = write_config(tmp_path, "[synth]\n" + lines + "\n")
+        code = main(["generate", "--config", config, "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert_one_line_error(
+            capsys, f"usage error: num_classes x windows_per_class x window_len is {samples}"
+        )
 
 
 # A value other than the default for every field of each dataclass an INI

@@ -6,6 +6,7 @@ import pytest
 
 from faultfusion.data import (
     ACOUSTIC,
+    MAX_SYNTH_SAMPLES,
     PAIRED,
     VIB_ONLY,
     Manifest,
@@ -387,3 +388,24 @@ class TestSynthSpecValidation:
         # 1e300 / 1e-10 overflows: class 0 would repeat every inf samples
         with pytest.raises(ConfigError, match="class 0 repeats every inf samples"):
             SynthSpec(sample_rate_hz=1e300, base_repetition_hz=1e-10)
+
+    def test_impulse_period_below_one_sample(self):
+        # synth_recording would loop about f_rep / fs times per sample
+        with pytest.raises(ConfigError, match="class 0 repeats every 1e-06 samples"):
+            SynthSpec(sample_rate_hz=1000.0, base_repetition_hz=1e9)
+        # one sample exactly is the shortest period allowed
+        SynthSpec(num_classes=1, sample_rate_hz=1000.0, base_repetition_hz=1000.0)
+
+    @pytest.mark.parametrize(
+        "sizes", [(10**12, 1, 1), (2, 10**12, 1000), (2, 4096, 2049)],
+        ids=["classes", "windows", "just_over"],
+    )
+    def test_sample_limit(self, sizes):
+        num_classes, windows, window_len = sizes
+        with pytest.raises(ConfigError, match=f"above the limit of {MAX_SYNTH_SAMPLES}"):
+            SynthSpec(num_classes=num_classes, windows_per_class=windows, window_len=window_len)
+        SynthSpec(num_classes=2, windows_per_class=4096, window_len=2048)  # at the limit
+
+    def test_default_set_is_far_inside_the_sample_limit(self):
+        spec = SynthSpec()
+        assert spec.num_classes * spec.windows_per_class * spec.window_len * 9 < MAX_SYNTH_SAMPLES

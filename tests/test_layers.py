@@ -614,6 +614,14 @@ class TestFlattenConcat:
     def test_concat(self):
         assert np.array_equal(concat(np.array([1.0]), np.array([2.0, 3.0])), [1.0, 2.0, 3.0])
 
+    def test_helpers_keep_float32_and_make_anything_else_float64(self):
+        x32 = np.array([[-1.0, 2.0]], dtype=np.float32)
+        for out in (relu(x32), relu_backward(x32, x32), softmax(x32), concat(x32, x32)):
+            assert out.dtype == np.float32
+        for out in (relu([-1, 2]), relu_backward([-1, 2], [1, 1]), softmax([[1, 2]]),
+                    concat([1], np.array([2], dtype=np.int32))):
+            assert out.dtype == np.float64
+
     def test_concat_order_fixed(self):
         a, b = np.array([1.0, 2.0]), np.array([3.0])
         assert np.array_equal(concat(a, b), [1.0, 2.0, 3.0])

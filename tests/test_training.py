@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from conftest import assert_grads_close, central_diff
 
+from faultfusion import training
 from faultfusion.data import PAIRED, VIB_ONLY, WindowedDataset, normalize_window
 from faultfusion.errors import ConfigError, DataError, NumericError
 from faultfusion.layers import softmax
-from faultfusion.model import FUSION, VIBRATION_CNN, ModelSpec, build_model, small_spec
+from faultfusion.model import FUSION, VIBRATION_CNN, ModelSpec, build_model, save_model, small_spec
 from faultfusion.tensor import Rng
 from faultfusion.training import (
     AdamState,
@@ -256,6 +257,31 @@ class TestFit:
         fit(m2, ds, config)
         for (n1, a1), (n2, a2) in zip(m1.parameters().items(), m2.parameters().items()):
             assert n1 == n2 and np.array_equal(a1, a2), n1
+
+    def test_float32_passes_update_float64_weights(self, monkeypatch, tmp_path):
+        """fit trains on float32 passes, while the weights, the Adam moments
+        and the saved payload stay float64."""
+        seen = []
+
+        def recording_step(params, grads, state, config):
+            seen.append(({g.dtype for g in grads.values()}, state))
+            adam_step(params, grads, state, config)
+
+        monkeypatch.setattr(training, "adam_step", recording_step)
+        ds = toy_dataset(6, 2, paired=True)
+        model = build_model(small_spec(FUSION, 2), Rng(8))
+        fit(model, ds, TrainConfig(seed=3, epochs=2, batch_size=4, split_ratio=0.75))
+        assert seen and all(dtypes == {np.dtype(np.float32)} for dtypes, _ in seen)
+        f64 = np.dtype(np.float64)
+        state = seen[-1][1]
+        for buffers in (model.parameters(), state.m, state.v):
+            assert {arr.dtype for arr in buffers.values()} == {f64}
+        path = tmp_path / "m.fmdl"
+        save_model(model, path)
+        blob = path.read_bytes()
+        payload = blob[blob.index(b"\nend\n") + len(b"\nend\n") :]
+        params = model.parameters()
+        assert payload == b"".join(arr.astype("<f8").tobytes() for arr in params.values())
 
     def test_modality_mismatch(self):
         ds = toy_dataset(6, 2)  # vibration-only
