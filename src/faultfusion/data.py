@@ -37,6 +37,12 @@ DEFAULT_SAMPLE_RATE = 42000.0
 # Samples per sensor a SynthSpec may ask for, 9.3x the default 9 x 200 x 1000.
 # synth_dataset peaks at about 34 bytes per sample, so about 0.6 GiB here.
 MAX_SYNTH_SAMPLES = 1 << 24
+# Classes a SynthSpec may ask for, 455x the default 9: SynthSpec checks each
+# class, and generate writes two files per class.
+MAX_SYNTH_CLASSES = 1 << 12
+# Impulses whose uniforms synth_recording draws in one call; this bounds its
+# draw arrays whatever the rate.
+_IMPULSE_BLOCK = 1 << 12
 
 MANIFEST_HEADER = ["file_path", "modality", "label_name", "pair_key"]
 
@@ -399,6 +405,10 @@ class SynthSpec:
                 f"num_classes x windows_per_class x window_len is {samples} samples per sensor,"
                 f" above the limit of {MAX_SYNTH_SAMPLES}"
             )
+        if self.num_classes > MAX_SYNTH_CLASSES:
+            raise ConfigError(
+                f"num_classes is {self.num_classes}, above the limit of {MAX_SYNTH_CLASSES}"
+            )
         if not 0 < self.sample_rate_hz < np.inf:  # also rejects NaN
             raise ConfigError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         if self.repetition_step_hz == 0:
@@ -450,6 +460,14 @@ def synth_recording(class_id: int, spec: SynthSpec, rng: Rng, modality: str) -> 
 
     x(t) = sum_k A_k exp(-(t - t_k)/tau) sin(2 pi f_res (t - t_k)) + noise,
     with impulses k at rate repetition_hz(class_id).
+
+    Stream contract: the recording reads rng's uniforms as one phase, then
+    one (jitter, amplitude) pair per impulse, and stops right after the
+    jitter draw of the first impulse that starts at or past the end of x
+    (or after int(n / period) + 2 pairs); the noise's normals follow. Every
+    recording, and rng's position after it, is a function of these draws
+    alone, however they are drawn: here in blocks of impulses, with the
+    unused tail of the last block unread.
     """
     if class_id < 0 or class_id >= spec.num_classes:
         raise DataError(f"class_id {class_id} outside [0, {spec.num_classes})")
@@ -469,22 +487,33 @@ def synth_recording(class_id: int, spec: SynthSpec, rng: Rng, modality: str) -> 
     wave = np.sin(2.0 * np.pi * f_res * t_tail)
     num_impulses = int(n / period) + 2
     phase = rng.uniform() * period
-    for k in range(num_impulses):
-        start = int(round(phase + k * period + (rng.uniform() - 0.5) * 0.02 * period))
-        if start >= n:
+    for first in range(0, num_impulses, _IMPULSE_BLOCK):
+        drawn = min(_IMPULSE_BLOCK, num_impulses - first)
+        u = rng.uniform(2 * drawn)
+        k = np.arange(first, first + drawn, dtype=DTYPE)
+        # the float64 operations, in order, of the scalar
+        # round(phase + k * period + (u - 0.5) * 0.02 * period); np.rint
+        # rounds half to even as round does
+        starts = np.rint(phase + k * period + (u[0::2] - 0.5) * 0.02 * period)
+        past = np.flatnonzero(starts >= n)
+        count = int(past[0]) if past.size else drawn  # impulses before the one past x
+        amps = spec.impulse_amplitude * (0.8 + 0.4 * u[1 : 2 * count : 2])
+        # one slice add per impulse, in impulse order: bursts overlap, and
+        # the order of their additions sets the bits
+        for start, amp in zip(starts[:count].astype(np.int64).tolist(), amps.tolist()):
+            if start >= 0:
+                m = min(envelope.size, n - start)
+                x[start : start + m] += amp * envelope[:m] * wave[:m]
+            else:
+                # jitter can push the first burst to start before sample 0,
+                # and at a slow repetition rate even to end there: its
+                # envelope and sine are taken over the part inside x
+                stop = max(0, min(start + int(min(reach, n - start)) + 1, n))
+                t = (float(-start) + np.arange(stop, dtype=DTYPE)) / fs
+                x[:stop] += amp * np.exp(-t / spec.decay_s) * np.sin(2.0 * np.pi * f_res * t)
+        if past.size:
+            rng.unread(2 * drawn - (2 * count + 1))  # the stream ends after that jitter
             break
-        amp = spec.impulse_amplitude * (0.8 + 0.4 * rng.uniform())
-        lo = max(start, 0)
-        stop = max(lo, min(start + int(min(reach, n - start)) + 1, n))
-        if start >= 0:
-            burst = amp * envelope[: stop - start] * wave[: stop - start]
-        else:
-            # jitter can push the first burst to start before sample 0, and
-            # at a slow repetition rate even to end there: its envelope and
-            # sine are taken over the part that falls inside x
-            t = (float(lo - start) + np.arange(stop - lo, dtype=DTYPE)) / fs
-            burst = amp * np.exp(-t / spec.decay_s) * np.sin(2.0 * np.pi * f_res * t)
-        x[lo:stop] += burst
     sigma = spec.noise_sigma(modality)
     if sigma > 0:
         x += sigma * rng.normal(n)

@@ -54,6 +54,19 @@ class Rng:
         self._counter += n
         return _mix64(self._seed + idx * _GAMMA)
 
+    def unread(self, count: int) -> None:
+        """Give the last ``count`` draws back to the stream.
+
+        A draw is one raw output: one uniform, or half a Box-Muller pair.
+        The k-th output depends on k alone, so the next ``count`` draws
+        repeat the returned ones bit for bit. A caller may draw a block of
+        uniforms, use a prefix and unread the tail, which leaves the stream
+        where drawing the prefix one value at a time would have left it.
+        """
+        if not 0 <= count <= self._counter:
+            raise ValueError(f"cannot unread {count} of {self._counter} draws")
+        self._counter -= count
+
     def uniform(self, shape=None) -> np.ndarray | float:
         """Uniform draws on [0, 1) with 53-bit resolution."""
         if shape is None:
@@ -69,12 +82,21 @@ class Rng:
         shape = (1,) if scalar else ((shape,) if isinstance(shape, int) else tuple(shape))
         n = int(np.prod(shape)) if shape else 1
         m = (n + 1) // 2
-        u1 = self.uniform(m)
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], log is finite
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return float(z[0]) if scalar else z.reshape(shape)
+        # r = sqrt(-2 log(1 - u1)) and theta = 2 pi u2, formed in place;
+        # 1 - u1 is in (0, 1], so the log is finite
+        r = self.uniform(m)
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = self.uniform(m)
+        theta *= 2.0 * np.pi
+        z = np.empty(2 * m, dtype=DTYPE)  # [r cos(theta), r sin(theta)]
+        np.cos(theta, out=z[:m])
+        np.sin(theta, out=z[m:])
+        z[:m] *= r
+        z[m:] *= r
+        return float(z[0]) if scalar else z[:n].reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of n uniform keys."""

@@ -249,6 +249,7 @@ def fit(model: Model, dataset, config: TrainConfig) -> TrainReport:
             loss_sum += loss * batch.size
             hits += int((probs.argmax(axis=-1) == targets).sum())
             grads = model.backward(caches, grad_logits)
+            del caches  # else this batch's caches live on through the next forward
             adam_step(params, grads, state, config)
         val_accuracy, cm = evaluate(model, dataset, val_idx)
         report.epochs.append(

@@ -6,7 +6,7 @@ import pytest
 from conftest import huge_head_header
 
 from faultfusion.cli import _read_config, _section, main
-from faultfusion.data import SynthSpec, read_manifest
+from faultfusion.data import MAX_SYNTH_CLASSES, SynthSpec, read_manifest
 from faultfusion.model import (
     VIBRATION_CNN,
     ModelSpec,
@@ -356,6 +356,17 @@ class TestTrain:
         assert code == 1
         assert_one_line_error(
             capsys, f"usage error: num_classes x windows_per_class x window_len is {samples}"
+        )
+
+    def test_classes_above_the_class_limit(self, tmp_path, capsys):
+        """A million one-sample classes fit under the sample limit; SynthSpec
+        took seconds to check them one by one."""
+        lines = "num_classes = 1000000\nwindows_per_class = 1\nwindow_len = 1"
+        config = write_config(tmp_path, "[synth]\n" + lines + "\n")
+        code = main(["generate", "--config", config, "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert_one_line_error(
+            capsys, f"usage error: num_classes is 1000000, above the limit of {MAX_SYNTH_CLASSES}"
         )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from faultfusion.data import (
     ACOUSTIC,
+    MAX_SYNTH_CLASSES,
     MAX_SYNTH_SAMPLES,
     PAIRED,
     VIB_ONLY,
@@ -329,6 +331,82 @@ class TestSynthRecording:
         assert abs(bursts - expected) <= 1
 
 
+# SHA-256 digests of the generator's output, computed with the scalar
+# per-impulse generator (three uniform() calls and one slice add per impulse)
+# that the block-drawn one must reproduce bit for bit. A recording
+# digest covers its samples, then the next uniform of its stream, so a
+# generator that ends its draws one early or late fails it too.
+GOLDEN_RECORDINGS = [
+    # id, SynthSpec fields, class, seed, modality, digest
+    ("defaults_overlapping_bursts", {}, 8, 3, VIBRATION,
+     "9bb2dddf7275f23e8092c939a08bee9122fac13939bdfb7de9384f9d025246c0"),
+    ("defaults_acoustic", {}, 0, 4, ACOUSTIC,
+     "c2f9ea4526b52e426463a4d97c037855aefeb07867471bdef79651ab84caa21f"),
+    ("sigma_0", dict(windows_per_class=20, vib_noise_sigma=0.0, ac_noise_sigma=0.0), 4, 5,
+     ACOUSTIC, "c4065d42f4b0fdae948339ec46e097beaefdf9d16bcd00b242e93064112135ca"),
+    ("one_sample_period", dict(num_classes=1, windows_per_class=4, window_len=250,
+                               sample_rate_hz=1000.0, base_repetition_hz=1000.0), 0, 6,
+     VIBRATION, "594382c72f8012429950f5de1f59455455c352a8c771c04e05960d8edf185e56"),
+    ("negative_start_seed_558", dict(num_classes=2, windows_per_class=2, window_len=500), 0,
+     558, VIBRATION, "081bfe86482cf41f735c6672bda146ffd5038684c6b33b7d834eeacf360ce928"),
+    ("slow_rate_seed_689", dict(num_classes=2, windows_per_class=20, window_len=100,
+                                base_repetition_hz=0.01, vib_noise_sigma=0.0), 0, 689,
+     VIBRATION, "be836492678a4e6fbc56c3fc43499589b4a4420241145f00805f246fd7d5bbe5"),
+    ("decay_past_the_recording_seed_689",
+     dict(num_classes=2, windows_per_class=20, window_len=100, decay_s=1e12,
+          base_repetition_hz=1e-9, vib_noise_sigma=0.0), 0, 689, VIBRATION,
+     "1fa28d9f26a546561ccb7552eac2733ccfb62b958786c253e344f749984c4548"),
+    # a one-sample period with 2001-tap and with 901-tap bursts
+    ("dense_long_bursts", dict(num_classes=1, windows_per_class=20, window_len=100,
+                               sample_rate_hz=1000.0, base_repetition_hz=1000.0, decay_s=1.0),
+     0, 7, ACOUSTIC, "e59aee688cd69ec80e0606305b1e092ed4a2a8118942e0261b291f4c64f547fb"),
+    ("dense_short_bursts", dict(num_classes=1, windows_per_class=200, window_len=100,
+                                sample_rate_hz=1000.0, base_repetition_hz=1000.0, decay_s=0.15),
+     0, 8, ACOUSTIC, "27293388aac1908c5db674b526a55799cc2a00da84cb79d085175cc5d8da1a1a"),
+]
+
+
+class TestSynthGoldenDigests:
+    @pytest.mark.parametrize(
+        "fields,class_id,seed,modality,digest",
+        [case[1:] for case in GOLDEN_RECORDINGS],
+        ids=[case[0] for case in GOLDEN_RECORDINGS],
+    )
+    def test_recording_and_the_next_draw(self, fields, class_id, seed, modality, digest):
+        rng = Rng(seed)
+        x = synth_recording(class_id, SynthSpec(**fields), rng, modality).samples
+        after = np.float64(rng.uniform())
+        assert hashlib.sha256(x.tobytes() + after.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fields,digest",
+        [
+            ({}, "786896690b67d2491412766291b543bb708bd18bec699329be3a3e8ce0569185"),
+            (dict(num_classes=3, windows_per_class=5, seed=9, vib_noise_sigma=0.0,
+                  ac_noise_sigma=0.0),
+             "d602bf3599e0e89fcf5eaf4b739d376ea52c516ba2caaea35b64c414cfc42b42"),
+        ],
+        ids=["defaults", "sigma_0_seed_9"],
+    )
+    def test_dataset(self, fields, digest):
+        ds = synth_dataset(SynthSpec(**fields))
+        blob = ds.vib.tobytes() + ds.ac.tobytes() + ds.labels.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_dense_overlap_draws_in_bounded_blocks(self):
+        # 20001 impulses, one per sample, each a 901-tap burst: the draws come
+        # a block of impulses at a time, and each burst is added on its own
+        spec = SynthSpec(num_classes=1, windows_per_class=200, window_len=100,
+                         sample_rate_hz=1000.0, base_repetition_hz=1000.0, decay_s=0.15)
+        tracemalloc.start()
+        try:
+            synth_recording(0, spec, Rng(8), ACOUSTIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21, peak
+
+
 class TestSynthDataset:
     def test_counts_and_balance(self):
         spec = SynthSpec(num_classes=3, windows_per_class=4, window_len=500)
@@ -405,6 +483,17 @@ class TestSynthSpecValidation:
         with pytest.raises(ConfigError, match=f"above the limit of {MAX_SYNTH_SAMPLES}"):
             SynthSpec(num_classes=num_classes, windows_per_class=windows, window_len=window_len)
         SynthSpec(num_classes=2, windows_per_class=4096, window_len=2048)  # at the limit
+
+    def test_class_limit(self):
+        # checked before the per-class loop: at a million classes that loop
+        # took seconds
+        too_many = MAX_SYNTH_CLASSES + 1
+        for num_classes in (too_many, 10**6):
+            with pytest.raises(ConfigError, match=f"num_classes is {num_classes}, above the limit"):
+                SynthSpec(num_classes=num_classes, windows_per_class=1, window_len=1)
+        spec = SynthSpec(num_classes=MAX_SYNTH_CLASSES, windows_per_class=1, window_len=1,
+                         repetition_step_hz=0.001)
+        assert len(spec.class_names) == MAX_SYNTH_CLASSES
 
     def test_default_set_is_far_inside_the_sample_limit(self):
         spec = SynthSpec()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,35 @@ class TestRng:
 
     def test_normal_deterministic(self):
         assert np.array_equal(Rng(9).normal((3, 4)), Rng(9).normal((3, 4)))
+
+    def test_normal_golden_digest(self):
+        # computed with the out-of-place Box-Muller (concatenated r cos, r sin)
+        # that the in-place form must reproduce bit for bit
+        rng = Rng(17)
+        h = hashlib.sha256()
+        for shape in [None, 0, 1, 2, 3, 7, (2, 3), (3, 1, 5), (4, 0), 1001]:
+            z = rng.normal(shape)
+            h.update(np.asarray(z, dtype=np.float64).tobytes() + repr(np.shape(z)).encode())
+        h.update(np.float64(rng.uniform()).tobytes())
+        assert h.hexdigest() == "9ab7e5fbfac4cff383a0c823a93493304290ad820ecf09865b6f8c0b4b94d3ca"
+
+    def test_unread_gives_a_block_tail_back(self):
+        one_at_a_time = Rng(5)
+        scalars = [one_at_a_time.uniform() for _ in range(3)]
+        blocked = Rng(5)
+        block = blocked.uniform(10)
+        blocked.unread(7)
+        assert block[:3].tolist() == scalars
+        assert blocked.uniform(4).tolist() == one_at_a_time.uniform(4).tolist()
+
+    @pytest.mark.parametrize("count", [-1, 3])
+    def test_unread_stays_inside_the_drawn_stream(self, count):
+        rng = Rng(5)
+        rng.uniform(2)
+        with pytest.raises(ValueError, match=f"cannot unread {count} of 2 draws"):
+            rng.unread(count)
+        rng.unread(2)
+        assert rng.uniform() == Rng(5).uniform()
 
     def test_permutation_is_permutation(self):
         p = Rng(13).permutation(257)

@@ -9,7 +9,15 @@ from faultfusion import training
 from faultfusion.data import PAIRED, VIB_ONLY, WindowedDataset, normalize_window
 from faultfusion.errors import ConfigError, DataError, NumericError
 from faultfusion.layers import softmax
-from faultfusion.model import FUSION, VIBRATION_CNN, ModelSpec, build_model, save_model, small_spec
+from faultfusion.model import (
+    FUSION,
+    VIBRATION_CNN,
+    ModelSpec,
+    build_model,
+    reduced_spec,
+    save_model,
+    small_spec,
+)
 from faultfusion.tensor import Rng
 from faultfusion.training import (
     AdamState,
@@ -44,6 +52,21 @@ def toy_dataset(n_per_class=8, n_classes=2, T=64, seed=0, paired=False, sources_
                                source_ids=sources, class_names=names, mode=PAIRED)
     return WindowedDataset(vib=vib, ac=None, labels=np.array(labels),
                            source_ids=sources, class_names=names, mode=VIB_ONLY)
+
+
+def _arrays(nest):
+    """The distinct arrays in a nest of dicts and lists, such as a cache."""
+    found = {}
+    stack = [nest]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found[id(item)] = item
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return list(found.values())
 
 
 def cross_entropy(probs, true_class):
@@ -282,6 +305,25 @@ class TestFit:
         payload = blob[blob.index(b"\nend\n") + len(b"\nend\n") :]
         params = model.parameters()
         assert payload == b"".join(arr.astype("<f8").tobytes() for arr in params.values())
+
+    def test_each_batch_frees_its_caches_before_the_next_forward(self):
+        """A step's backward caches are most of fit's memory, so three batches
+        must peak about where one does, not with two batches' caches alive."""
+        config = TrainConfig(seed=4, epochs=1, batch_size=24, split_ratio=0.75)
+        peaks = []
+        for n_per_class in (16, 48):  # one training batch of 24, then three
+            ds = toy_dataset(n_per_class, 2, T=1000, paired=True)
+            model = build_model(reduced_spec(FUSION, 2), Rng(12))
+            tracemalloc.start()
+            try:
+                fit(model, ds, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        _, caches = model.forward(x_vib=ds.vib[:24].astype(np.float32),
+                                  x_ac=ds.ac[:24].astype(np.float32))
+        step = sum(arr.nbytes for arr in _arrays(caches))
+        assert peaks[1] - peaks[0] < 0.4 * step, (peaks, step)
 
     def test_modality_mismatch(self):
         ds = toy_dataset(6, 2)  # vibration-only
