@@ -19,9 +19,8 @@ import numpy as np
 from . import __version__
 from .codec import parsers
 from .data import (
-    ACOUSTIC,
     BRANCH_MODES,
-    VIBRATION,
+    SENSORS,
     Manifest,
     SynthSpec,
     build_dataset,
@@ -31,24 +30,26 @@ from .data import (
     read_manifest,
     recording_format,
     segment,
-    synth_recording,
+    synth_dataset,
+    synth_recordings,
     write_manifest,
 )
 from .errors import ConfigError, DataError, FaultFusionError, NumericError, ShapeError
 from .metrics import per_class_metrics, render_csv, render_table
-from .model import (
-    MODEL_KINDS,
-    SENSORS,
-    ModelSpec,
-    build_model,
-    kind_branches,
-    load_model,
-    save_model,
-)
+from .model import MODEL_KINDS, ModelSpec, build_model, kind_branches, load_model, save_model
 from .tensor import Rng
 from .training import TrainConfig, evaluate, fit, render_report, stratified_split
 
 _INIT_TAG = 0x1217  # rng stream tag for weight init, distinct from training streams
+
+# The keys of each config section: the fields of a dataclass, or these names.
+_SECTIONS = {
+    "model": ModelSpec,
+    "train": TrainConfig,
+    "data": ("source", "manifest", "sample_rate_hz", "window_len"),
+    "synth": SynthSpec,
+    "output": ("dir",),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,6 +63,9 @@ def _one_line(exc: Exception) -> str:
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
+    """The config file, parsed. A key set in a section that _SECTIONS lacks,
+    or that its section does not take, is a ConfigError; keys inherited from
+    [DEFAULT] are not checked, so a section that sets none of its own is allowed."""
     cp = configparser.ConfigParser()
     if path is not None:
         if not os.path.isfile(path):
@@ -70,6 +74,19 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
             cp.read(path)
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid INI: {_one_line(exc)}") from exc
+    for section in cp.sections():
+        keys = [key for key in cp.options(section) if key not in cp.defaults()]
+        if not keys:
+            continue
+        if section not in _SECTIONS:
+            expected = ", ".join(_SECTIONS)
+            raise ConfigError(f"[{section}]: unknown section, expected one of {expected}")
+        takes, what = _SECTIONS[section], f"[{section}]"
+        if isinstance(takes, type):
+            takes, what = parsers(takes), takes.__name__
+        for key in keys:
+            if key not in takes:
+                raise ConfigError(f"[{section}] {key}: unknown key, not a {what} field")
     return cp
 
 
@@ -89,16 +106,10 @@ def _get(cp, section: str, key: str, default, cast=str):
 def _section(cp, section: str, cls, **fixed):
     """A ``cls`` dataclass from the keys of one INI section.
 
-    A key of the section that names no field of ``cls`` is a ConfigError;
-    keys inherited from [DEFAULT] are not checked. A ``fixed`` value that is
-    not None wins over the section's key; a field set by neither keeps its
-    default.
+    A ``fixed`` value that is not None wins over the section's key; a field
+    set by neither keeps its default.
     """
     fields = parsers(cls)
-    if cp.has_section(section):
-        for key in cp.options(section):
-            if key not in fields and key not in cp.defaults():
-                raise ConfigError(f"[{section}] {key}: unknown key, not a {cls.__name__} field")
     fixed = {name: value for name, value in fixed.items() if value is not None}
     read = {
         name: _get(cp, section, name, None, parse)
@@ -137,8 +148,6 @@ def _dataset_for(cp, args, branches: tuple[str, ...], window_len: int):
             sample_rate_hz=_get(cp, "data", "sample_rate_hz", 42000.0, float),
         )
     if source == "synth":
-        from .data import synth_dataset
-
         return synth_dataset(_section(cp, "synth", SynthSpec, seed=getattr(args, "seed", None)))
     raise ConfigError(f"unknown data source {source!r} (expected manifest or synth)")
 
@@ -147,18 +156,16 @@ def cmd_generate(args) -> int:
     cp = _read_config(args.config)
     spec = _section(cp, "synth", SynthSpec, seed=args.seed)
     out = _out_dir(cp, args)
-    root = Rng(spec.seed)
     rows = []
-    for c, name in enumerate(spec.class_names):
-        for modality, tag in ((VIBRATION, 2 * c), (ACOUSTIC, 2 * c + 1)):
-            rec = synth_recording(c, spec, root.derive(tag), modality)
-            fname = f"{c:02d}_{_slug(name)}_{modality}.f32"
+    for c, (name, recordings) in enumerate(zip(spec.class_names, synth_recordings(spec))):
+        for rec in recordings:
+            fname = f"{c:02d}_{_slug(name)}_{rec.modality}.f32"
             with open(os.path.join(out, fname), "wb") as fh:
                 fh.write(rec.samples.astype("<f4").tobytes())
             rows.append(
                 {
                     "file_path": fname,
-                    "modality": modality,
+                    "modality": rec.modality,
                     "label_name": name,
                     "pair_key": f"c{c}",
                 }

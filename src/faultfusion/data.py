@@ -25,12 +25,17 @@ VIBRATION = "vibration"
 ACOUSTIC = "acoustic"
 MODALITIES = (VIBRATION, ACOUSTIC)
 
+# The sensor each model branch reads; a branch name is the WindowedDataset
+# attribute that holds its windows.
+SENSORS = {"vib": VIBRATION, "ac": ACOUSTIC}
+
 VIB_ONLY = "vib_only"
 AC_ONLY = "ac_only"
 PAIRED = "paired"
-# The mode of a dataset holding windows for exactly these model branches
-# (WindowedDataset attributes), in model feature order.
+# The mode of a dataset holding windows for exactly these model branches, in
+# model feature order.
 BRANCH_MODES = {("vib",): VIB_ONLY, ("ac",): AC_ONLY, ("vib", "ac"): PAIRED}
+_MODE_BRANCHES = {mode: branches for branches, mode in BRANCH_MODES.items()}
 
 DEFAULT_WINDOW_LEN = 1000
 DEFAULT_SAMPLE_RATE = 42000.0
@@ -174,11 +179,7 @@ def segment(
         raise DataError(
             f"recording {recording.source_id!r}: {n} samples < window length {window_len}"
         )
-    count = (n - window_len) // hop + 1
-    out = np.empty((count, window_len, 1), dtype=DTYPE)
-    for w in range(count):
-        out[w, :, 0] = x[w * hop : w * hop + window_len]
-    return out
+    return np.lib.stride_tricks.sliding_window_view(x, window_len)[::hop, :, None].copy()
 
 
 def normalize_window(w: np.ndarray) -> np.ndarray:
@@ -210,12 +211,12 @@ class WindowedDataset:
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n = len(self.labels)
-        if self.mode not in (VIB_ONLY, AC_ONLY, PAIRED):
+        if self.mode not in _MODE_BRANCHES:
             raise DataError(f"unknown dataset mode {self.mode!r}")
-        if self.mode in (VIB_ONLY, PAIRED) and (self.vib is None or self.vib.shape[0] != n):
-            raise ShapeError("vibration windows missing or miscounted")
-        if self.mode in (AC_ONLY, PAIRED) and (self.ac is None or self.ac.shape[0] != n):
-            raise ShapeError("acoustic windows missing or miscounted")
+        for branch in _MODE_BRANCHES[self.mode]:
+            windows = getattr(self, branch)
+            if windows is None or windows.shape[0] != n:
+                raise ShapeError(f"{SENSORS[branch]} windows missing or miscounted")
         if len(self.source_ids) != n:
             raise ShapeError("source_ids length mismatch")
         if n and (self.labels.min() < 0 or self.labels.max() >= len(self.class_names)):
@@ -293,77 +294,75 @@ def _load_row(manifest: Manifest, row: dict, sample_rate_hz: float) -> Recording
     )
 
 
-def build_dataset(
-    manifest: Manifest,
-    mode: str,
-    window_len: int = DEFAULT_WINDOW_LEN,
-    hop: int | None = None,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE,
-    normalize: bool = True,
-) -> WindowedDataset:
-    """Segment, normalize and label every manifest recording.
+def _windowed(units, mode: str, window_len: int, class_names, normalize: bool = True):
+    """The WindowedDataset of ``units``, (source id, label, recordings) triples
+    with one recording per branch of ``mode``. A unit keeps the windows all its
+    recordings cover, so windows with one index cover the same sample range."""
+    branches = _MODE_BRANCHES[mode]
+    chunks: dict[str, list[np.ndarray]] = {branch: [] for branch in branches}
+    labels, sources = [], []
+    for source_id, label, recordings in units:
+        windows = [segment(rec, window_len, window_len) for rec in recordings]
+        n = min(w.shape[0] for w in windows)
+        # drop the cut copies before the next unit's recordings are made
+        windows = [normalize_window(w[:n]) if normalize else w[:n] for w in windows]
+        for branch, w in zip(branches, windows):
+            chunks[branch].append(w)
+        labels.extend([label] * n)
+        sources.extend([source_id] * n)
+    return WindowedDataset(
+        **{b: np.concatenate(chunks[b], axis=0) if b in chunks else None for b in SENSORS},
+        labels=np.asarray(labels),
+        source_ids=sources,
+        class_names=list(class_names),
+        mode=mode,
+    )
 
-    In paired mode each pair_key must resolve to exactly one vibration and
-    one acoustic file; paired windows are cut from identical sample ranges.
-    """
-    hop = window_len if hop is None else hop
-    maybe_norm = normalize_window if normalize else (lambda w: w)
 
-    if mode in (VIB_ONLY, AC_ONLY):
-        want = VIBRATION if mode == VIB_ONLY else ACOUSTIC
-        rows = [r for r in manifest.rows if r["modality"] == want]
-        if not rows:
-            raise DataError(f"manifest has no {want} rows")
-        chunks, labels, sources = [], [], []
-        for row in rows:
-            rec = _load_row(manifest, row, sample_rate_hz)
-            windows = maybe_norm(segment(rec, window_len, hop))
-            chunks.append(windows)
-            labels.extend([rec.label] * windows.shape[0])
-            sources.extend([rec.source_id] * windows.shape[0])
-        stacked = np.concatenate(chunks, axis=0)
-        return WindowedDataset(
-            vib=stacked if mode == VIB_ONLY else None,
-            ac=stacked if mode == AC_ONLY else None,
-            labels=np.asarray(labels),
-            source_ids=sources,
-            class_names=list(manifest.class_names),
-            mode=mode,
-        )
-
-    if mode != PAIRED:
-        raise DataError(f"unknown dataset mode {mode!r}")
-
+def _paired_units(manifest: Manifest, sample_rate_hz: float):
+    """A (pair_key, label, [vibration, acoustic]) unit per pair_key, in order of
+    first appearance; an empty pair_key is a key too."""
     by_key: dict[str, dict[str, dict]] = {}
     for row in manifest.rows:
         slot = by_key.setdefault(row["pair_key"], {})
         if row["modality"] in slot:
             raise DataError(f"pair_key {row['pair_key']!r} has duplicate {row['modality']} rows")
         slot[row["modality"]] = row
-    vib_chunks, ac_chunks, labels, sources = [], [], [], []
     for key, slot in by_key.items():
         if VIBRATION not in slot or ACOUSTIC not in slot:
             missing = ACOUSTIC if ACOUSTIC not in slot else VIBRATION
             raise DataError(f"pair_key {key!r} is missing its {missing} file")
         if slot[VIBRATION]["label_name"] != slot[ACOUSTIC]["label_name"]:
             raise DataError(f"pair_key {key!r} has conflicting labels")
-        rec_v = _load_row(manifest, slot[VIBRATION], sample_rate_hz)
-        rec_a = _load_row(manifest, slot[ACOUSTIC], sample_rate_hz)
-        win_v = segment(rec_v, window_len, hop)
-        win_a = segment(rec_a, window_len, hop)
-        n = min(win_v.shape[0], win_a.shape[0])  # identical sample ranges
-        vib_chunks.append(maybe_norm(win_v[:n]))
-        ac_chunks.append(maybe_norm(win_a[:n]))
-        labels.extend([rec_v.label] * n)
-        sources.extend([key] * n)
-    return WindowedDataset(
-        vib=np.concatenate(vib_chunks, axis=0),
-        ac=np.concatenate(ac_chunks, axis=0),
-        labels=np.asarray(labels),
-        source_ids=sources,
-        class_names=list(manifest.class_names),
-        mode=PAIRED,
-    )
+        recs = [_load_row(manifest, slot[m], sample_rate_hz) for m in (VIBRATION, ACOUSTIC)]
+        yield key, recs[0].label, recs
+
+
+def build_dataset(
+    manifest: Manifest,
+    mode: str,
+    window_len: int = DEFAULT_WINDOW_LEN,
+    sample_rate_hz: float = DEFAULT_SAMPLE_RATE,
+    normalize: bool = True,
+) -> WindowedDataset:
+    """Segment, normalize and label every manifest recording.
+
+    A single-sensor mode windows each row of its sensor on its own. In paired
+    mode each pair_key must resolve to exactly one vibration and one acoustic
+    file; paired windows are cut from identical sample ranges.
+    """
+    if mode not in _MODE_BRANCHES:
+        raise DataError(f"unknown dataset mode {mode!r}")
+    if mode == PAIRED:
+        units = _paired_units(manifest, sample_rate_hz)
+    else:
+        sensor = SENSORS[_MODE_BRANCHES[mode][0]]
+        rows = [r for r in manifest.rows if r["modality"] == sensor]
+        if not rows:
+            raise DataError(f"manifest has no {sensor} rows")
+        recs = (_load_row(manifest, row, sample_rate_hz) for row in rows)
+        units = ((rec.source_id, rec.label, [rec]) for rec in recs)
+    return _windowed(units, mode, window_len, manifest.class_names, normalize)
 
 
 @dataclass(frozen=True)
@@ -526,22 +525,16 @@ def synth_recording(class_id: int, spec: SynthSpec, rng: Rng, modality: str) -> 
     )
 
 
+def synth_recordings(spec: SynthSpec):
+    """Each class's [vibration, acoustic] recordings, in class order: class c's
+    vibration draws on Rng(spec.seed).derive(2c), its acoustic on derive(2c + 1)."""
+    root = Rng(spec.seed)
+    for c in range(spec.num_classes):
+        tags = (2 * c, 2 * c + 1)
+        yield [synth_recording(c, spec, root.derive(t), m) for t, m in zip(tags, MODALITIES)]
+
+
 def synth_dataset(spec: SynthSpec) -> WindowedDataset:
     """Deterministic paired dataset: windows_per_class windows per class."""
-    root = Rng(spec.seed)
-    vib_chunks, ac_chunks, labels, sources = [], [], [], []
-    for c in range(spec.num_classes):
-        rec_v = synth_recording(c, spec, root.derive(2 * c), VIBRATION)
-        rec_a = synth_recording(c, spec, root.derive(2 * c + 1), ACOUSTIC)
-        vib_chunks.append(normalize_window(segment(rec_v, spec.window_len, spec.window_len)))
-        ac_chunks.append(normalize_window(segment(rec_a, spec.window_len, spec.window_len)))
-        labels.extend([c] * spec.windows_per_class)
-        sources.extend([f"synth-c{c}"] * spec.windows_per_class)
-    return WindowedDataset(
-        vib=np.concatenate(vib_chunks, axis=0),
-        ac=np.concatenate(ac_chunks, axis=0),
-        labels=np.asarray(labels),
-        source_ids=sources,
-        class_names=list(spec.class_names),
-        mode=PAIRED,
-    )
+    units = ((f"synth-c{c}", c, recs) for c, recs in enumerate(synth_recordings(spec)))
+    return _windowed(units, PAIRED, spec.window_len, spec.class_names)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import encode, parsers
-from .data import ACOUSTIC, VIBRATION
+from .data import SENSORS
 from .errors import ConfigError, DataError, ShapeError
 from .layers import LSTM, Conv1D, Dense, Flatten, MaxPool1D, ReLULayer, concat, softmax
 from .tensor import Rng, as_float, check_finite
@@ -54,11 +54,10 @@ FUSION = "fusion"
 BRANCHES = {VIBRATION_CNN: ("vib",), ACOUSTIC_CNN_LSTM: ("ac",), FUSION: ("vib", "ac")}
 MODEL_KINDS = tuple(BRANCHES)
 
-# Per branch: the sensor it reads (named in messages and by infer's flags),
-# the prefix of its conv fields in ModelSpec, and whether the spec's LSTM
-# stack follows its conv blocks.
-_BRANCH_LAYOUT = {"vib": (VIBRATION, "", False), "ac": (ACOUSTIC, "ac_", True)}
-SENSORS = {branch: layout[0] for branch, layout in _BRANCH_LAYOUT.items()}
+# Per branch: the prefix of its conv fields in ModelSpec, and whether the
+# spec's LSTM stack follows its conv blocks. data.SENSORS names the sensor a
+# branch reads (in messages and by infer's flags).
+_BRANCH_LAYOUT = {"vib": ("", False), "ac": ("ac_", True)}
 _CONV_FIELDS = ("conv_channels", "conv_kernels", "pool_sizes")
 
 _MAGIC = b"FMDL1"
@@ -98,7 +97,7 @@ class ModelSpec:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.input_len < 1:
             raise ConfigError(f"input_len must be >= 1, got {self.input_len}")
-        for _, prefix, _ in _BRANCH_LAYOUT.values():
+        for prefix, _ in _BRANCH_LAYOUT.values():
             names = [prefix + name for name in _CONV_FIELDS]
             for name in names:
                 object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
@@ -166,7 +165,7 @@ def _layer_plan(spec: ModelSpec) -> dict[str, list[tuple]]:
     plan: dict[str, list[tuple]] = {}
     head_in = 0
     for branch in kind_branches(spec.kind):
-        sensor, prefix, lstm = _BRANCH_LAYOUT[branch]
+        sensor, (prefix, lstm) = SENSORS[branch], _BRANCH_LAYOUT[branch]
         channels, kernels, pools = (getattr(spec, prefix + name) for name in _CONV_FIELDS)
         steps = conv_pool_chain(spec.input_len, kernels, pools, sensor)[-1]
         layers, width = _conv_blocks(sensor, channels, kernels, pools)

@@ -1,10 +1,15 @@
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 from conftest import huge_head_header
 
+import faultfusion
 from faultfusion.cli import _read_config, _section, main
 from faultfusion.data import MAX_SYNTH_CLASSES, SynthSpec, read_manifest
 from faultfusion.model import (
@@ -81,6 +86,16 @@ class TestGenerate:
         assert main(["generate", "--config", config, "--out", str(out_b)]) == 0
         for p in sorted(out_a.iterdir()):
             assert p.read_bytes() == (out_b / p.name).read_bytes(), p.name
+
+    def test_golden_digest(self, tmp_path):
+        config = write_config(tmp_path, TINY_SYNTH)
+        out = tmp_path / "dataset"
+        assert main(["generate", "--config", config, "--out", str(out)]) == 0
+        digest = hashlib.sha256()
+        for p in sorted(out.iterdir()):
+            digest.update(p.name.encode() + b"\0" + p.read_bytes())
+        expected = "d95d1c96017a0e6bf5e691baf04f5cf42fd092f63a8ce52631f95cf5dd5aa373"
+        assert digest.hexdigest() == expected
 
     def test_nine_paired_classes_write_eighteen_recordings(self, tmp_path):
         config = write_config(
@@ -202,16 +217,27 @@ class TestTrain:
         assert_one_line_error(capsys, f"usage error: {new.split()[0]}")
 
     @pytest.mark.parametrize(
-        "section,cls", [("model", "ModelSpec"), ("train", "TrainConfig"), ("synth", "SynthSpec")]
+        "section,cls",
+        [
+            ("model", "ModelSpec"),
+            ("train", "TrainConfig"),
+            ("synth", "SynthSpec"),
+            ("data", "[data]"),
+            ("output", "[output]"),
+            ("modle", None),
+        ],
     )
     def test_unknown_section_key_is_usage_error(self, tmp_path, capsys, section, cls):
+        text = TINY_TRAIN if f"[{section}]" in TINY_TRAIN else TINY_TRAIN + f"\n    [{section}]\n"
         config = write_config(
-            tmp_path, TINY_TRAIN.replace(f"[{section}]", f"[{section}]\n    learnig_rate = 0.5")
+            tmp_path, text.replace(f"[{section}]", f"[{section}]\n    learnig_rate = 0.5")
         )
         assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
-        assert_one_line_error(
-            capsys, f"usage error: [{section}] learnig_rate: unknown key, not a {cls} field"
-        )
+        if cls is None:
+            expected = f"[{section}]: unknown section, expected one of model, train, data"
+        else:
+            expected = f"[{section}] learnig_rate: unknown key, not a {cls} field"
+        assert_one_line_error(capsys, f"usage error: {expected}")
 
     def test_non_utf8_manifest_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
@@ -561,3 +587,27 @@ def test_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path, TINY_TRAIN)
     assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """A fresh interpreter that imports the package and runs the CLI loads
+    only the standard library, numpy and faultfusion."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        before = set(sys.modules)
+        import faultfusion
+        from faultfusion.cli import main
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+            main(["--version"])
+        top = {name.partition(".")[0] for name in set(sys.modules) - before}
+        print(sorted(top - set(sys.stdlib_module_names) - {"numpy", "faultfusion"}))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(faultfusion.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from faultfusion.data import (
+    AC_ONLY,
     ACOUSTIC,
     MAX_SYNTH_CLASSES,
     MAX_SYNTH_SAMPLES,
@@ -257,6 +258,50 @@ class TestBuildDataset:
         write_manifest(Manifest(rows=rows, class_names=["healthy"]), path)
         with pytest.raises(DataError, match="vibration"):
             build_dataset(read_manifest(path), VIB_ONLY, window_len=100)
+
+
+class TestBuildDatasetGoldenDigests:
+    """Every array, label, source id and the mode, pinned in each mode.
+
+    The first two pairs' vibration and acoustic files differ in length, so a
+    pair keeps the window count both cover; the last has an empty pair_key, so its
+    paired windows have source id "" and its single-sensor windows the file's
+    path (hashed relative to the manifest's directory).
+    """
+
+    @staticmethod
+    def _manifest(tmp_path):
+        rows = []
+        lengths = [("p0", 350, 420), ("p1", 530, 260), ("", 400, 400)]
+        for c, (key, n_vib, n_ac) in enumerate(lengths):
+            rows += _write_pair(tmp_path, f"class{c}", key or "nokey", n=n_vib, seed=c)
+            rows[-2]["pair_key"] = rows[-1]["pair_key"] = key
+            ac = Rng(10 + c).normal(n_ac)
+            (tmp_path / rows[-1]["file_path"]).write_bytes(ac.astype("<f4").tobytes())
+        path = tmp_path / "manifest.csv"
+        write_manifest(Manifest(rows=rows, class_names=["class0", "class1", "class2"]), path)
+        return read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "mode,normalize,digest",
+        [
+            (VIB_ONLY, True, "e288e023e0369bdbd1f2efe8f97cbe5243ec23f59c93fe79b359d052bdaf04d2"),
+            (VIB_ONLY, False, "f6a68c4895cae0c44e9e93771ffaf106e64ce89bd67ef75877b678646fdb61a1"),
+            (AC_ONLY, True, "b78a4a35190cc8c3ec90e2d163500c768b735020a2baa10bb5c356a5944fac93"),
+            (AC_ONLY, False, "ebfa3fc8051dd499825a2fc162e6cc01710b76bf267b0519cdd8fd4e1f4d71dd"),
+            (PAIRED, True, "afc8052718146d2fa72f7552d98e46d102cab8cc074b3f4b14eac8b224261990"),
+            (PAIRED, False, "87705365f657f5296d049a6c5d4ecd72be6393b1ade95072e3aca200add89574"),
+        ],
+        ids=["vib_only", "vib_only_raw", "ac_only", "ac_only_raw", "paired", "paired_raw"],
+    )
+    def test_dataset(self, tmp_path, mode, normalize, digest):
+        ds = build_dataset(self._manifest(tmp_path), mode, window_len=100, normalize=normalize)
+        ids = "\n".join(s.replace(str(tmp_path), "<dir>") for s in ds.source_ids)
+        blob = b"".join(
+            x.tobytes() if x is not None else b"-" for x in (ds.vib, ds.ac, ds.labels)
+        )
+        blob += ids.encode() + ds.mode.encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestSynthRecording:
