@@ -131,6 +131,9 @@ def _slug(name: str) -> str:
 
 def _dataset_for(cp, args, branches: tuple[str, ...], window_len: int):
     """Build the run's dataset from exactly one source: manifest or synth."""
+    rate = _get(cp, "data", "sample_rate_hz", 42000.0, float)
+    if not 0 < rate < np.inf:  # also rejects NaN
+        raise ConfigError(f"[data] sample_rate_hz must be finite and > 0, got {rate}")
     source = _get(cp, "data", "source", None)
     manifest_path = getattr(args, "manifest", None) or _get(cp, "data", "manifest", None)
     if getattr(args, "manifest", None):  # explicit flag beats the config source
@@ -142,10 +145,7 @@ def _dataset_for(cp, args, branches: tuple[str, ...], window_len: int):
             raise ConfigError("data source is manifest but no manifest path was given")
         manifest = read_manifest(manifest_path)
         return build_dataset(
-            manifest,
-            BRANCH_MODES[branches],
-            window_len=window_len,
-            sample_rate_hz=_get(cp, "data", "sample_rate_hz", 42000.0, float),
+            manifest, BRANCH_MODES[branches], window_len=window_len, sample_rate_hz=rate
         )
     if source == "synth":
         return synth_dataset(_section(cp, "synth", SynthSpec, seed=getattr(args, "seed", None)))

@@ -32,8 +32,9 @@ gradient to that tap.
 LSTM works on time-major slabs allocated once per call, so that every gate of
 every step is one contiguous [B, u] block: A [T, 4, B, u] holds the gates (the
 input projection xW + b is written straight into it, then each step adds
-h_{t-1} U and activates in place), C and H [T + 1, B, u] hold the cell and
-hidden states with C[0] = H[0] = 0, and TC [T, B, u] holds tanh(c_t). The slab
+h_{t-1} U and activates in place), and C and H [T + 1, B, u] hold the cell and
+hidden states with C[0] = H[0] = 0. One [B, u] row holds tanh(c_t) for every
+step, since only h_t reads it. The slab
 orders the gates (i, f, o, g) and holds -z for the three sigmoid gates: the
 forward multiplies W, U and b per call by a gate permutation and sign, which
 is exact, so one contiguous [3, B, u] block takes the sigmoid as exp, add 1,
@@ -46,12 +47,17 @@ block first projects its own input: for B > 1 and T > 1 one [B, Cin] x
 gives the same bits as a [T, Cin] x [Cin, u] GEMM per (window, gate), only
 faster. At B = 1 that would be a GEMV (slower, and not the same bits) and at
 T = 1 a single step, so there all T steps are one block projected per
-window. With keep=True every block is a view of the whole A, C and TC slabs,
+window. With keep=True every block is a view of the whole A and C slabs,
 which the backward reads. With keep=False one block-sized A is reused, one
-[B, u] row holds c and one tanh(c) for every step (a step stride of 0), and
-only H, the output, spans the sequence. Backward writes dL/dz into a
-[T, B, 4u] slab in the stored (i, f, g, o) order, and forms the W, U, b and
-input gradients as 2-D GEMMs over its T*B rows.
+[B, u] row holds c for every step (a step stride of 0), and only H, the
+output, spans the sequence. Backward recomputes tanh(c_t) a block at a time
+from C (the same function on the same values, so the same bits), writes
+dL/dz into a [T, B, 4u] slab in the stored (i, f, g, o) order, and forms the
+W, U, b and input gradients as 2-D GEMMs over its T*B rows.
+
+A kept cache holds only what its backward reads: the LSTM's slabs above, a
+Conv1D's or Dense's input, a MaxPool1D's tap indices and a ReLU's mask
+x > 0, one byte per element.
 """
 
 from __future__ import annotations
@@ -112,8 +118,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Mask gradient where the forward input was <= 0."""
-    return as_float(grad_out) * (np.asarray(x) > 0)
+    """Mask gradient where the forward input was <= 0; x is that input or its
+    bool mask x > 0, which is used as is (mask > 0 would compare in int64)."""
+    x = np.asarray(x)
+    return as_float(grad_out) * (x if x.dtype == np.bool_ else x > 0)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -245,10 +253,10 @@ class ReLULayer:
         return {}
 
     def forward(self, x: np.ndarray, keep: bool = True):
-        return relu(x), ({"x": x} if keep else None)
+        return relu(x), ({"mask": np.asarray(x) > 0} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray):
-        return relu_backward(cache["x"], grad_out), {}
+        return relu_backward(cache["mask"], grad_out), {}
 
 
 class Dense:
@@ -365,19 +373,18 @@ class LSTM:
         if keep:
             A = np.empty((T, 4, B, u), dtype=dt)
             C = np.empty((T + 1, B, u), dtype=dt)  # C[t + 1] = c_t, C[0] = c_{-1} = 0
-            TC = np.empty((T, B, u), dtype=dt)  # tanh(c_t)
         else:
             # no backward follows: one block of gates is reused, and one row
-            # each holds c and tanh(c) for every step (a step stride of 0)
+            # holds c for every step (a step stride of 0)
             A = np.empty((n, 4, B, u), dtype=dt)
-            c_row, tc_row = np.empty((2, B, u), dtype=dt)
+            c_row = np.empty((B, u), dtype=dt)
             C = np.lib.stride_tricks.as_strided(c_row, (T + 1, B, u), (0, *c_row.strides))
-            TC = np.lib.stride_tricks.as_strided(tc_row, (T, B, u), (0, *tc_row.strides))
         C[0] = 0.0
         H[0] = 0.0
         hU = np.empty((B, 4 * u), dtype=dt)
         hU4 = hU.reshape(B, 4, u).transpose(1, 0, 2)
         ig = np.empty((B, u), dtype=dt)
+        tc = np.empty((B, u), dtype=dt)  # tanh(c_t); backward recomputes it
         # exp(-z) overflow saturates the sigmoid to 0.0, the correct limit
         with np.errstate(over="ignore"):
             for t0 in range(0, T, n):
@@ -389,8 +396,8 @@ class LSTM:
                     np.matmul(x.transpose(1, 0, 2)[t0:t1, None], W, out=blk)
                 blk += bias
                 now, nxt = slice(t0, t1), slice(t0 + 1, t1 + 1)
-                steps = zip(blk, blk[:, :3], blk[:, 3], H[now], H[nxt], C[now], C[nxt], TC[now])
-                for a, s, g, h_prev, h, c_prev, c, tc in steps:
+                steps = zip(blk, blk[:, :3], blk[:, 3], H[now], H[nxt], C[now], C[nxt])
+                for a, s, g, h_prev, h, c_prev, c in steps:
                     np.matmul(h_prev, U, out=hU)
                     np.add(a, hU4, out=a)
                     np.exp(s, out=s)  # sigmoid on i, f and o: s holds -z
@@ -403,10 +410,10 @@ class LSTM:
                     np.tanh(c, out=tc)
                     np.multiply(s[2], tc, out=h)
         y = H[1:].transpose(1, 0, 2)
-        return y, ({"x": x, "A": A, "C": C, "TC": TC, "H": H} if keep else None)
+        return y, ({"x": x, "A": A, "C": C, "H": H} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray):
-        x, A, C, TC, H = cache["x"], cache["A"], cache["C"], cache["TC"], cache["H"]
+        x, A, C, H = cache["x"], cache["A"], cache["C"], cache["H"]
         B, T, Cin = x.shape
         u = self.units
         if grad_out.shape != (B, T, u):
@@ -421,27 +428,30 @@ class LSTM:
         #   P_i = (1 - i) i g    P_f = (1 - f) f c_{t-1}    P_g = (1 - g^2) i
         #   P_o = (1 - o) o tanh(c_t)                       Q = (1 - tanh(c_t)^2) o
         # They are formed for a block of steps at a time, gate-major, so the
-        # block is still in cache when the steps read it.
+        # block is still in cache when the steps read it; so is TC, tanh(c_t)
+        # of the block, recomputed from C.
         dZ = np.empty((T, B, 4 * u), dtype=dt)
         dZ4 = dZ.reshape(T, B, 4, u).transpose(0, 2, 1, 3)
         n = min(T, max(1, _LSTM_BLOCK // (B * u)))
         P = np.empty((n, 4, B, u), dtype=dt)
         Q = np.empty((n, B, u), dtype=dt)
+        TC = np.empty((n, B, u), dtype=dt)
         UT = self.U.astype(dt, copy=False).T
         dh = np.zeros((B, u), dtype=dt)
         dc = np.zeros((B, u), dtype=dt)
         for stop in range(T, 0, -n):
             start = max(0, stop - n)
             a, p, q = A[start:stop], P[: stop - start], Q[: stop - start]
+            tc = np.tanh(C[start + 1 : stop + 1], out=TC[: stop - start])
             i, f, o, g = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-            for k, s, other in ((0, i, g), (1, f, C[start:stop]), (3, o, TC[start:stop])):
+            for k, s, other in ((0, i, g), (1, f, C[start:stop]), (3, o, tc)):
                 np.subtract(1.0, s, out=p[:, k])
                 p[:, k] *= s
                 p[:, k] *= other
             np.multiply(g, g, out=p[:, 2])
             np.subtract(1.0, p[:, 2], out=p[:, 2])
             p[:, 2] *= i
-            np.multiply(TC[start:stop], TC[start:stop], out=q)
+            np.multiply(tc, tc, out=q)
             np.subtract(1.0, q, out=q)
             q *= o
             steps = zip(G[start:stop], p, q, dZ[start:stop], dZ4[start:stop], f)

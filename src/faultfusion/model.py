@@ -143,6 +143,49 @@ _PARAM_SHAPES = {
 }
 
 
+# The size budget of a spec, checked before any layer list or array exists.
+# The reference fusion spec has 823,497 parameters, and its layers' outputs
+# hold 228,969 values per window. At the caps a float64 copy of the weights
+# takes 512 MiB, and a float32 window's outputs 256 MiB.
+MAX_PARAMS = 1 << 26
+MAX_WINDOW_VALUES = 1 << 26
+
+
+def _param_count(cls, *sizes) -> int:
+    return sum(math.prod(shape) for shape in _PARAM_SHAPES[cls](*sizes).values())
+
+
+def _check_budget(spec: ModelSpec) -> None:
+    """ConfigError if the spec's parameter count or the values its layers'
+    outputs hold for one window exceed the caps. Pure arithmetic on the spec
+    and ``conv_pool_chain``, so it costs the same for any size."""
+    params = values = head_in = 0
+    for branch in kind_branches(spec.kind):
+        prefix, lstm = _BRANCH_LAYOUT[branch]
+        channels, kernels, pools = (getattr(spec, prefix + name) for name in _CONV_FIELDS)
+        lengths = conv_pool_chain(spec.input_len, kernels, pools, SENSORS[branch])
+        width = 1
+        for ch, k, conv_len, pool_len in zip(channels, kernels, lengths[1::2], lengths[2::2]):
+            params += _param_count(Conv1D, k, width, ch)
+            values += (2 * conv_len + pool_len) * ch  # conv, ReLU and pool outputs
+            width = ch
+        layers, u = (spec.lstm_layers if lstm else 0), spec.lstm_units
+        if layers:
+            params += _param_count(LSTM, width, u) + (layers - 1) * _param_count(LSTM, u, u)
+            values += layers * lengths[-1] * u
+            width = u
+        head_in += lengths[-1] * width
+    dense, classes = spec.dense_units, spec.num_classes
+    params += _param_count(Dense, head_in, dense) + _param_count(Dense, dense, classes)
+    values += 2 * dense + classes
+    for what, count, cap in (
+        ("parameters", params, MAX_PARAMS),
+        ("layer output values per window", values, MAX_WINDOW_VALUES),
+    ):
+        if count > cap:
+            raise ConfigError(f"model spec has {count} {what}, above the limit of {cap}")
+
+
 def _conv_blocks(sensor, channels, kernels, pools) -> tuple[list[tuple], int]:
     """Conv -> ReLU -> MaxPool blocks over a 1-channel input; also the channels out."""
     if not channels:
@@ -160,8 +203,10 @@ def _layer_plan(spec: ModelSpec) -> dict[str, list[tuple]]:
     (class, *size args) in build order.
 
     Pure arithmetic on the spec: nothing is allocated, so a weight file's
-    header can be checked against it before any array exists.
+    header can be checked against it before any array exists. The spec's
+    size budget is checked first.
     """
+    _check_budget(spec)
     plan: dict[str, list[tuple]] = {}
     head_in = 0
     for branch in kind_branches(spec.kind):

@@ -219,6 +219,9 @@ def fit(model: Model, dataset, config: TrainConfig) -> TrainReport:
     before its update; validation accuracy uses the frozen end-of-epoch
     model.
 
+    A NumericError names the epoch and either the batch (numbered from 1
+    within the epoch) or the end-of-epoch validation pass.
+
     Mixed precision with float64 master weights: each batch is cast to
     float32, so its forward and backward run in float32 (the layers compute
     in their input's dtype), while the weights, the Adam moments and the
@@ -238,20 +241,28 @@ def fit(model: Model, dataset, config: TrainConfig) -> TrainReport:
         order = train_idx[shuffle_root.derive(epoch).permutation(train_idx.size)]
         loss_sum = 0.0
         hits = 0
-        for start in range(0, order.size, config.batch_size):
+        for number, start in enumerate(range(0, order.size, config.batch_size), start=1):
             batch = order[start : start + config.batch_size]
             targets = dataset.labels[batch]
             inputs = _model_inputs(model, dataset, batch)
-            probs, caches = model.forward(**{k: x.astype(TRAIN_DTYPE) for k, x in inputs.items()})
+            try:
+                probs, caches = model.forward(
+                    **{k: x.astype(TRAIN_DTYPE) for k, x in inputs.items()}
+                )
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, batch {number}: {exc}") from exc
             loss, grad_logits = batch_cross_entropy(probs, targets)
             if not np.isfinite(loss):
-                raise NumericError(f"non-finite training loss at epoch {epoch}")
+                raise NumericError(f"epoch {epoch}, batch {number}: non-finite training loss")
             loss_sum += loss * batch.size
             hits += int((probs.argmax(axis=-1) == targets).sum())
             grads = model.backward(caches, grad_logits)
             del caches  # else this batch's caches live on through the next forward
             adam_step(params, grads, state, config)
-        val_accuracy, cm = evaluate(model, dataset, val_idx)
+        try:
+            val_accuracy, cm = evaluate(model, dataset, val_idx)
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch}, validation: {exc}") from exc
         report.epochs.append(
             EpochStats(
                 epoch=epoch,

@@ -66,17 +66,20 @@ def assert_grads_close(analytic, numeric, rtol, atol=1e-8, label=""):
     assert worst <= 0.0, f"{label}: gradient mismatch, worst excess {worst:.3e}"
 
 
-def huge_head_header(path):
-    """Rewrite a small vibration model's header to input_len = 10**8, manifest
-    included, so the spec implies a head of several GB over a tiny payload."""
+def huge_head_header(path, input_len=4 * 10**6):
+    """Rewrite a small vibration model's header to this input_len, manifest
+    included. At the default the spec, inside the model size budget, implies
+    a head of 256 MB over a tiny payload."""
     save_model(build_model(small_spec(VIBRATION_CNN), Rng(13)), path)
     blob = path.read_bytes()
     header_end = blob.index(b"\nend\n")
     header = blob[:header_end].decode("ascii")
-    old_in, new_in = (conv_pool_chain(n, (5, 3), (2, 2), "vibration")[-1] * 4 for n in (64, 10**8))
+    old_in, new_in = (
+        conv_pool_chain(n, (5, 3), (2, 2), "vibration")[-1] * 4 for n in (64, input_len)
+    )
     assert new_in * 8 * 8 >= 200 * 2**20
     for old, new in (
-        ("input_len=64", f"input_len={10**8}"),
+        ("input_len=64", f"input_len={input_len}"),
         (f"tensor head.0.weights {old_in},8", f"tensor head.0.weights {new_in},8"),
     ):
         assert header.count(old) == 1

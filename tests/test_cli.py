@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +55,9 @@ TINY_TRAIN = """
     [data]
     source = synth
 """ + TINY_SYNTH
+
+
+_DATA_RATE = "[data] sample_rate_hz must be finite and > 0, got "
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -217,6 +222,32 @@ class TestTrain:
         assert_one_line_error(capsys, f"usage error: {new.split()[0]}")
 
     @pytest.mark.parametrize(
+        "kind,old,new",
+        [
+            ("fusion", "dense_units = 8", "dense_units = 1000000000"),
+            ("acoustic_cnn_lstm", "lstm_layers = 1", "lstm_layers = 1000000000"),
+        ],
+        ids=["dense_units", "lstm_layers"],
+    )
+    def test_model_above_the_size_budget_is_usage_error(self, tmp_path, capsys, kind, old, new):
+        """As reproduced under an address-space limit: the first ended in a numpy
+        _ArrayMemoryError traceback, the second in a MemoryError traceback."""
+        text = TINY_TRAIN.replace("vibration_cnn", kind).replace(old, new)
+        config = write_config(tmp_path, text)
+        tracemalloc.start()
+        try:
+            code = main(["train", "--config", config, "--out", str(tmp_path / "r")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"usage error: model spec has \d+ parameters, above the limit of 67108864\n", err
+        ), err
+        assert peak < 4 * 2**20, peak
+
+    @pytest.mark.parametrize(
         "section,cls",
         [
             ("model", "ModelSpec"),
@@ -281,6 +312,11 @@ class TestTrain:
             ("train", "[synth]", "sample_rate_hz = 0", "sample_rate_hz must be finite and > 0"),
             ("generate", "[synth]", "sample_rate_hz = 0", "sample_rate_hz must be finite and > 0"),
             ("generate", "[synth]", "sample_rate_hz = inf", "sample_rate_hz must be finite"),
+            ("train", "[data]", "sample_rate_hz = 0", _DATA_RATE + "0.0"),
+            ("train", "[data]", "sample_rate_hz = -5", _DATA_RATE + "-5.0"),
+            ("train", "[data]", "sample_rate_hz = nan", _DATA_RATE + "nan"),
+            ("train", "[data]", "sample_rate_hz = inf", _DATA_RATE + "inf"),
+            ("train", "source = synth", "sample_rate_hz = nan", _DATA_RATE + "nan"),
             ("generate", "[synth]", "base_repetition_hz = 0", "repetition_hz of class 0 is 0"),
             (
                 "generate",
@@ -291,7 +327,9 @@ class TestTrain:
         ],
         ids=[
             "data_window_0", "data_window_neg", "synth_window_0_train", "synth_window_0_generate",
-            "rate_0_train", "rate_0_generate", "rate_inf_generate", "repetition_0",
+            "rate_0_train", "rate_0_generate", "rate_inf_generate",
+            "data_rate_0", "data_rate_neg", "data_rate_nan", "data_rate_inf",
+            "data_rate_nan_synth_source", "repetition_0",
             "repetition_0_at_class_2",
         ],
     )
@@ -581,7 +619,7 @@ def test_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
     from faultfusion.errors import NumericError
 
     def diverge(*args, **kwargs):
-        raise NumericError("non-finite training loss at epoch 1")
+        raise NumericError("epoch 1, batch 1: non-finite training loss")
 
     monkeypatch.setattr(cli, "fit", diverge)
     config = write_config(tmp_path, TINY_TRAIN)

@@ -283,6 +283,24 @@ class TestReLU:
         gx, _ = layer.backward(cache, np.ones_like(x))
         assert np.array_equal(gx, (x > 0).astype(float))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_caches_a_one_byte_mask_and_backward_keeps_its_bytes(self, dtype):
+        rng = Rng(4)
+        x = relu(rng.normal((3, 7, 5))) - relu(rng.normal((3, 7, 5)))  # with exact zeros
+        x = x.astype(dtype)
+        x[0, 0, :2] = (-0.0, np.nan)
+        g = rng.normal(x.shape).astype(dtype)
+        g[0, 1, 0] = -1.0  # a masked negative gradient gives -0.0
+        before = x.tobytes()
+        y, cache = ReLULayer().forward(x)
+        assert list(cache) == ["mask"]
+        mask = cache["mask"]
+        assert mask.dtype == np.bool_ and mask.shape == x.shape and mask.nbytes == x.size
+        assert x.tobytes() == before and y.tobytes() == relu(x).tobytes()
+        gx, grads = ReLULayer().backward(cache, g)
+        assert grads == {} and gx.dtype == dtype
+        assert gx.tobytes() == relu_backward(x, g).tobytes()
+
 
 class TestDense:
     def test_identity_weights(self):
@@ -520,6 +538,20 @@ class TestLSTMSlabs:
         y, cache = layer.forward(rng.normal((2, 6, 3)))
         layer.backward(cache, y)
         assert {name: arr.tobytes() for name, arr in layer.params().items()} == before
+
+    def test_cache_holds_no_tanh_slab(self):
+        """Backward recomputes tanh(c_t) from C, so the kept cache is the
+        input, the gate slab A and the state slabs C and H, and no array of
+        it has the [T, B, u] shape of a per-step tanh(c_t) slab."""
+        rng = Rng(36)
+        B, T, u = 3, 7, 4
+        layer = LSTM.init(2, u, rng)
+        x = rng.normal((B, T, 2))
+        _, cache = layer.forward(x)
+        assert sorted(cache) == ["A", "C", "H", "x"]
+        assert cache["A"].shape == (T, 4, B, u)
+        assert cache["C"].shape == cache["H"].shape == (T + 1, B, u)
+        assert all(arr.shape != (T, B, u) for arr in cache.values())
 
     def test_caches_are_not_shared_across_calls(self):
         rng = Rng(32)

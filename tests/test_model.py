@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from faultfusion.model import (
     ACOUSTIC_CNN_LSTM,
     BRANCHES,
     FUSION,
+    MAX_PARAMS,
     MODEL_KINDS,
     VIBRATION_CNN,
     ModelSpec,
@@ -431,4 +433,64 @@ class TestLoadValidatesBeforeAllocating:
             blob = blob[:start] + field.encode() + blob[end:]
         path.write_bytes(blob)
         with pytest.raises(DataError, match="corrupt header"):
+            load_model(path)
+
+
+class TestSizeBudget:
+    """A spec is checked against MAX_PARAMS and MAX_WINDOW_VALUES by
+    arithmetic, before any layer list or array exists."""
+
+    def test_reference_specs_are_far_inside_the_budget(self):
+        for kind in MODEL_KINDS:
+            model = build_model(ModelSpec(kind=kind), Rng(20))
+            assert sum(a.size for a in model.parameters().values()) * 80 < MAX_PARAMS
+
+    @pytest.mark.parametrize(
+        "kind,fields,what",
+        [
+            (FUSION, {"dense_units": 10**9}, "parameters"),
+            (ACOUSTIC_CNN_LSTM, {"lstm_layers": 10**9}, "parameters"),
+            (  # under the parameter cap, over the values cap
+                VIBRATION_CNN,
+                {"dense_units": 1, "input_len": 8 * 10**6},
+                "layer output values per window",
+            ),
+        ],
+        ids=["dense_units", "lstm_layers", "window_values"],
+    )
+    def test_over_budget_spec_fails_before_allocating(self, kind, fields, what):
+        spec = replace(ModelSpec(kind=kind), **fields)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=rf"model spec has \d+ {what}, above the limit"):
+                build_model(spec, Rng(21))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    @pytest.mark.parametrize(
+        "kind,field",
+        [(FUSION, "dense_units=1000000000"), (ACOUSTIC_CNN_LSTM, "lstm_layers=1000000000")],
+        ids=["dense_units", "lstm_layers"],
+    )
+    def test_over_budget_weight_file_is_data_error(self, tmp_path, kind, field):
+        path = tmp_path / "m.fmdl"
+        save_model(build_model(small_spec(kind), Rng(22)), path)
+        blob = path.read_bytes()
+        start = blob.index(f"\n{field.split('=')[0]}=".encode()) + 1
+        path.write_bytes(blob[:start] + field.encode() + blob[blob.index(b"\n", start) :])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="corrupt header: model spec has"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_huge_head_above_the_budget_is_rejected_before_the_payload_check(self, tmp_path):
+        path = tmp_path / "m.fmdl"
+        huge_head_header(path, input_len=10**8)
+        with pytest.raises(DataError, match="800000029 parameters, above the limit"):
             load_model(path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -10,6 +11,8 @@ from faultfusion.data import PAIRED, VIB_ONLY, WindowedDataset, normalize_window
 from faultfusion.errors import ConfigError, DataError, NumericError
 from faultfusion.layers import softmax
 from faultfusion.model import (
+    ACOUSTIC_CNN_LSTM,
+    BRANCHES,
     FUSION,
     VIBRATION_CNN,
     ModelSpec,
@@ -342,8 +345,29 @@ class TestFit:
         ds = toy_dataset(6, 2)
         model = build_model(small_spec(VIBRATION_CNN, 2), Rng(0))
         model.head_layers[0].weights[0, 0] = np.nan
-        with pytest.raises(NumericError):
+        with pytest.raises(
+            NumericError, match=r"^epoch 1, batch 1: non-finite values in model output$"
+        ):
             fit(model, ds, TrainConfig(epochs=1, split_ratio=0.75))
+
+    @pytest.mark.parametrize(
+        "poison_after,where",
+        [(1, "epoch 1, batch 2"), (3, "epoch 1, validation"), (5, "epoch 2, batch 3")],
+    )
+    def test_numeric_failure_names_epoch_and_batch(self, monkeypatch, poison_after, where):
+        """8 training windows in batches of 3 make 3 batches per epoch; a NaN
+        weight written by Adam step poison_after shows in the next pass."""
+
+        def poisoning_step(params, grads, state, config):
+            adam_step(params, grads, state, config)
+            if state.step == poison_after:
+                params["head.0.weights"][0, 0] = np.nan
+
+        monkeypatch.setattr(training, "adam_step", poisoning_step)
+        ds = toy_dataset(6, 2)
+        model = build_model(small_spec(VIBRATION_CNN, 2), Rng(0))
+        with pytest.raises(NumericError, match=rf"^{where}: non-finite values in model output$"):
+            fit(model, ds, TrainConfig(epochs=2, batch_size=3, split_ratio=0.75))
 
     def test_render_report_sections(self):
         ds = toy_dataset(6, 2)
@@ -353,6 +377,61 @@ class TestFit:
         assert "epoch" in text.splitlines()[0]
         assert "[timing]" in text
         assert "confusion" in text
+
+
+def _digest(named):
+    h = hashlib.sha256()
+    for name, arr in named.items():
+        h.update(name.encode() + b"\0" + np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenDigests:
+    """Bytes of a float32 training step's gradients and of a short fit's
+    weights, computed before the backward caches were slimmed (ReLU keeps a
+    mask, LSTM recomputes tanh(c)); the change must not move a bit. Like
+    every weight digest, they hold for one platform and BLAS thread count."""
+
+    @pytest.mark.parametrize(
+        "spec,seed,digest",
+        [
+            (reduced_spec(FUSION, 3), 50,
+             "c7d8b7be382f32b1cb7739bf0d611624af712f73a56bd3d19143a7551aef09ee"),
+            (small_spec(ACOUSTIC_CNN_LSTM), 51,
+             "aded90ff58c9d663a769a79ddd69082614a20d1f5ee70f70c8003600d0af34cb"),
+        ],
+        ids=["reduced_fusion", "small_acoustic"],
+    )
+    def test_float32_step_gradients(self, spec, seed, digest):
+        model = build_model(spec, Rng(seed))
+        rng = Rng(seed + 1)
+        inputs = {
+            f"x_{branch}": rng.normal((8, spec.input_len, 1)).astype(np.float32)
+            for branch in BRANCHES[spec.kind]
+        }
+        probs, caches = model.forward(**inputs)
+        _, grad_logits = batch_cross_entropy(probs, np.arange(8) % spec.num_classes)
+        assert _digest(model.backward(caches, grad_logits)) == digest
+
+    def test_weights_after_a_two_epoch_fit(self):
+        ds = toy_dataset(16, 2, T=1000, paired=True)
+        model = build_model(reduced_spec(FUSION, 2), Rng(52))
+        fit(model, ds, TrainConfig(seed=5, epochs=2, batch_size=8, split_ratio=0.75))
+        assert _digest(model.parameters()) == (
+            "b29e738f65b87e049d4c6de340c493ba594348a503f22ed8291818eb4bc415c7"
+        )
+
+
+def test_training_step_caches_hold_only_what_backward_reads():
+    """A reduced fusion float32 step at B=24 kept 5,442,816 bytes of backward
+    cache when each ReLU kept its float input and each LSTM a [T, B, u]
+    tanh(c) slab; a one-byte mask and a recomputed tanh(c) keep under 0.7x."""
+    ds = toy_dataset(16, 2, T=1000, paired=True)
+    model = build_model(reduced_spec(FUSION, 2), Rng(12))
+    _, caches = model.forward(x_vib=ds.vib[:24].astype(np.float32),
+                              x_ac=ds.ac[:24].astype(np.float32))
+    kept = sum(arr.nbytes for arr in _arrays(caches))
+    assert kept <= 0.7 * 5_442_816, kept
 
 
 class TestEvaluate:
