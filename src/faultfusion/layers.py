@@ -55,12 +55,30 @@ from C (the same function on the same values, so the same bits), writes
 dL/dz into a [T, B, 4u] slab in the stored (i, f, g, o) order, and forms the
 W, U, b and input gradients as 2-D GEMMs over its T*B rows.
 
+A large batch runs its recurrence on two cores: when each half of the batch
+holds at least 2 windows, each half's [B // 2, u] gate block has at least
+_LSTM_SPLIT elements and the process may use more than one CPU, a worker
+thread steps rows [0, B // 2) while the caller steps rows [B // 2, B). Both
+run the same step loop on views of their rows of the slabs above, which the
+caller allocates for the whole batch as it would for one thread: the worker
+allocates no array buffer, so no allocation changes size and the worker's
+malloc arena stays small. Every GEMM keeps its K and every half at least 2
+rows, so each row gets the bits of a one-thread pass; a 1-row half would
+take GEMV paths, which round differently. The thread is started and joined
+inside the call (nothing outlives it, a forked child inherits no pool),
+enters its own errstate (numpy's error state is per thread), and an
+exception it raises is raised again in the caller. Batches of B=64 at 64
+units or of B=256 at 24 units stay below the threshold and run on one thread.
+
 A kept cache holds only what its backward reads: the LSTM's slabs above, a
 Conv1D's or Dense's input, a MaxPool1D's tap indices and a ReLU's mask
 x > 0, one byte per element.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -80,6 +98,13 @@ _BLOCK_ROWS = 8192
 # u=64 the backward factors took 27 ms as whole-sequence passes and 12 ms in
 # blocks of this size.
 _LSTM_BLOCK = 16384
+
+# LSTM: smallest per-step gate block (half-batch rows x units) at which the
+# forward runs the two halves of the batch on two threads. On a 2-vCPU Xeon
+# with single-threaded OpenBLAS a forward with half blocks of 8192 elements
+# (B=256, u=64) took 0.6x the one-thread time and one of 4096 (B=128) 0.76x;
+# 3072 (B=256, u=24) ran level and 2304 (B=72, u=64) or less ran slower.
+_LSTM_SPLIT = 4096
 
 # LSTM slab gate order (i, f, o, g): slab gate k is stored gate _SLAB_GATES[k]
 # of the stored order (i, f, g, o), and the three sigmoid gates are negated.
@@ -240,8 +265,9 @@ class MaxPool1D:
         grad_x = np.zeros((B, T, C), dtype=grad_out.dtype)
         for j in range(p):
             np.multiply(grad_out, idx == j, out=grad_x[:, j : To * p : p, :])
-        # g * False is -0.0 for negative g; adding +0.0 makes every unrouted
-        # entry +0.0, so the result is bit-identical to a scatter into zeros
+        # g * False is -0.0 for negative g; adding +0.0 makes every zero of
+        # grad_x +0.0, routed or not (a scatter into zeros would keep a
+        # routed -0.0 gradient as -0.0)
         grad_x += 0.0
         return grad_x, {}
 
@@ -306,6 +332,71 @@ class Flatten:
 
     def backward(self, cache, grad_out: np.ndarray):
         return grad_out.reshape(cache["in_shape"]), {}
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _on_two_threads(work, first, second) -> None:
+    """work(first) on a new thread while this one runs work(second); the
+    thread is joined before returning, and an exception it raised is raised
+    again here once work(second) is done."""
+    errors = []
+
+    def run():
+        try:
+            work(first)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    worker = threading.Thread(target=run, name="lstm-half")
+    worker.start()
+    try:
+        work(second)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+def _lstm_steps(x, W, bias, U, A, C, H, hU, ig, tc, n: int, per_window: bool) -> None:
+    """The LSTM recurrence of the b windows x [b, T, Cin] over slabs the
+    caller allocated: A [T or n, 4, b, u], C and H [T + 1, b, u] with C[0] =
+    H[0] = 0, hU [b, 4u], ig and tc [b, u]. Steps run in blocks of n, each
+    first projecting its own input; no array buffer is allocated here."""
+    T = x.shape[1]
+    keep = len(A) == T  # a kept A spans the sequence, else it holds one block
+    hU4 = hU.reshape(len(hU), 4, -1).transpose(1, 0, 2)
+    # exp(-z) overflow saturates the sigmoid to 0.0, the correct limit; the
+    # error state is per thread, so each thread that runs steps sets it
+    with np.errstate(over="ignore"):
+        for t0 in range(0, T, n):
+            t1 = min(t0 + n, T)
+            blk = A[t0:t1] if keep else A[: t1 - t0]
+            if per_window:
+                np.matmul(x[:, None, t0:t1], W, out=blk.transpose(2, 1, 0, 3))
+            else:
+                np.matmul(x.transpose(1, 0, 2)[t0:t1, None], W, out=blk)
+            blk += bias
+            now, nxt = slice(t0, t1), slice(t0 + 1, t1 + 1)
+            steps = zip(blk, blk[:, :3], blk[:, 3], H[now], H[nxt], C[now], C[nxt])
+            for a, s, g, h_prev, h, c_prev, c in steps:
+                np.matmul(h_prev, U, out=hU)
+                np.add(a, hU4, out=a)
+                np.exp(s, out=s)  # sigmoid on i, f and o: s holds -z
+                np.add(1.0, s, out=s)
+                np.divide(1.0, s, out=s)
+                np.tanh(g, out=g)
+                np.multiply(s[1], c_prev, out=c)
+                np.multiply(s[0], g, out=ig)
+                np.add(c, ig, out=c)
+                np.tanh(c, out=tc)
+                np.multiply(s[2], tc, out=h)
 
 
 class LSTM:
@@ -382,33 +473,22 @@ class LSTM:
         C[0] = 0.0
         H[0] = 0.0
         hU = np.empty((B, 4 * u), dtype=dt)
-        hU4 = hU.reshape(B, 4, u).transpose(1, 0, 2)
         ig = np.empty((B, u), dtype=dt)
         tc = np.empty((B, u), dtype=dt)  # tanh(c_t); backward recomputes it
-        # exp(-z) overflow saturates the sigmoid to 0.0, the correct limit
-        with np.errstate(over="ignore"):
-            for t0 in range(0, T, n):
-                t1 = min(t0 + n, T)
-                blk = A[t0:t1] if keep else A[: t1 - t0]
-                if per_window:
-                    np.matmul(x[:, None, t0:t1], W, out=blk.transpose(2, 1, 0, 3))
-                else:
-                    np.matmul(x.transpose(1, 0, 2)[t0:t1, None], W, out=blk)
-                blk += bias
-                now, nxt = slice(t0, t1), slice(t0 + 1, t1 + 1)
-                steps = zip(blk, blk[:, :3], blk[:, 3], H[now], H[nxt], C[now], C[nxt])
-                for a, s, g, h_prev, h, c_prev, c in steps:
-                    np.matmul(h_prev, U, out=hU)
-                    np.add(a, hU4, out=a)
-                    np.exp(s, out=s)  # sigmoid on i, f and o: s holds -z
-                    np.add(1.0, s, out=s)
-                    np.divide(1.0, s, out=s)
-                    np.tanh(g, out=g)
-                    np.multiply(s[1], c_prev, out=c)
-                    np.multiply(s[0], g, out=ig)
-                    np.add(c, ig, out=c)
-                    np.tanh(c, out=tc)
-                    np.multiply(s[2], tc, out=h)
+
+        def steps(rows):
+            _lstm_steps(
+                x[rows], W, bias, U, A[:, :, rows], C[:, rows], H[:, rows],
+                hU[rows], ig[rows], tc[rows], n, per_window,
+            )
+
+        # a large batch runs its halves on two threads, each over its rows of
+        # the slabs above (see the module docstring)
+        half = B // 2
+        if half >= 2 and half * u >= _LSTM_SPLIT and _cpus() > 1:
+            _on_two_threads(steps, slice(0, half), slice(half, B))
+        else:
+            steps(slice(0, B))
         y = H[1:].transpose(1, 0, 2)
         return y, ({"x": x, "A": A, "C": C, "H": H} if keep else None)
 

@@ -442,24 +442,6 @@ def load_model(path: str | os.PathLike) -> Model:
     )
 
 
-def small_spec(kind: str, num_classes: int = 3, input_len: int = 64) -> ModelSpec:
-    """Miniature spec used by gradient checks and smoke tests."""
-    return ModelSpec(
-        kind=kind,
-        num_classes=num_classes,
-        input_len=input_len,
-        conv_channels=(3, 4),
-        conv_kernels=(5, 3),
-        pool_sizes=(2, 2),
-        ac_conv_channels=(3,),
-        ac_conv_kernels=(5,),
-        ac_pool_sizes=(4,),
-        lstm_units=5,
-        lstm_layers=2,
-        dense_units=8,
-    )
-
-
 def reduced_spec(kind: str, num_classes: int, input_len: int = 1000) -> ModelSpec:
     """Cut-down stack that still follows the reference topology; trains fast."""
     return replace(

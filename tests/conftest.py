@@ -14,12 +14,30 @@ import numpy as np  # noqa: E402
 
 from faultfusion.model import (  # noqa: E402
     VIBRATION_CNN,
+    ModelSpec,
     build_model,
     conv_pool_chain,
     save_model,
-    small_spec,
 )
 from faultfusion.tensor import Rng  # noqa: E402
+
+
+def small_spec(kind: str, num_classes: int = 3, input_len: int = 64) -> ModelSpec:
+    """Miniature spec used by gradient checks and smoke tests."""
+    return ModelSpec(
+        kind=kind,
+        num_classes=num_classes,
+        input_len=input_len,
+        conv_channels=(3, 4),
+        conv_kernels=(5, 3),
+        pool_sizes=(2, 2),
+        ac_conv_channels=(3,),
+        ac_conv_kernels=(5,),
+        ac_pool_sizes=(4,),
+        lstm_units=5,
+        lstm_layers=2,
+        dense_units=8,
+    )
 
 
 def central_diff(f, x, h=1e-6):

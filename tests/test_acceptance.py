@@ -10,7 +10,7 @@ import os
 import time
 
 import numpy as np
-from conftest import assert_grads_close, central_diff, sampled_central_diff
+from conftest import assert_grads_close, central_diff, sampled_central_diff, small_spec
 
 from faultfusion.cli import main
 from faultfusion.data import SynthSpec, synth_dataset
@@ -23,7 +23,6 @@ from faultfusion.model import (
     build_model,
     load_model,
     reduced_spec,
-    small_spec,
 )
 from faultfusion.tensor import Rng
 from faultfusion.training import TrainConfig, fit

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import huge_head_header
+from conftest import huge_head_header, small_spec
 
 import faultfusion
 from faultfusion.cli import _read_config, _section, main
@@ -20,7 +20,6 @@ from faultfusion.model import (
     build_model,
     load_model,
     save_model,
-    small_spec,
 )
 from faultfusion.tensor import Rng
 from faultfusion.training import TrainConfig

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -452,16 +454,18 @@ def _lstm_per_step(layer, x):
 
     Same operations in the same order as the layer: z = xW + hU, 1/(1+exp(-z))
     on i/f/o, tanh on g, c = f*c + i*g, h = o*tanh(c). The layer negates the
-    i/f/o columns of W, U and b instead of z, which gives the same bits.
+    i/f/o columns of W, U and b instead of z, which gives the same bits. It
+    computes in the dtype of x, as the layer does.
     """
     B, T, _ = x.shape
     u = layer.units
-    xW = x @ layer.W + layer.b
-    h = np.zeros((B, u))
-    c = np.zeros((B, u))
+    W, U, b = (p.astype(x.dtype, copy=False) for p in (layer.W, layer.U, layer.b))
+    xW = x @ W + b
+    h = np.zeros((B, u), dtype=x.dtype)
+    c = np.zeros((B, u), dtype=x.dtype)
     hs = []
     for t in range(T):
-        z = xW[:, t, :] + h @ layer.U
+        z = xW[:, t, :] + h @ U
         i = 1.0 / (1.0 + np.exp(-z[:, :u]))
         f = 1.0 / (1.0 + np.exp(-z[:, u : 2 * u]))
         g = np.tanh(z[:, 2 * u : 3 * u])
@@ -624,6 +628,142 @@ class TestForwardWithoutCaches:
             y, cache = layer.forward(np.full((2, 5, 2), 1e6), keep=False)
             assert np.geterr() == before
         assert cache is None and np.isfinite(y).all()
+
+
+@pytest.fixture
+def two_halves(monkeypatch):
+    """Every LSTM forward whose batch halves hold at least 2 windows runs them
+    on two threads; the list counts the forwards that did."""
+    splits = []
+    run = layers._on_two_threads
+
+    def counted(*args):
+        splits.append(args[1:])
+        run(*args)
+
+    monkeypatch.setattr(layers, "_LSTM_SPLIT", 0)
+    monkeypatch.setattr(layers, "_cpus", lambda: 2)
+    monkeypatch.setattr(layers, "_on_two_threads", counted)
+    return splits
+
+
+class TestLSTMTwoThreads:
+    """The batch halves of a large forward step on two threads over their
+    rows of the caller's slabs: the same bytes, no thread left behind."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [1, 9])
+    @pytest.mark.parametrize("B", [4, 5, 7])
+    def test_forward_bytes_equal_per_step_formula(self, two_halves, monkeypatch, B, T, dtype):
+        rng = Rng(60 + B)
+        layer = LSTM.init(4, 5, rng)
+        layer.b = rng.normal(20)
+        x = (rng.normal((B, T, 4)) * 2.0).astype(dtype)
+        with monkeypatch.context() as m:
+            m.setattr(layers, "_cpus", lambda: 1)
+            y_one, _ = layer.forward(x)
+        y, _ = layer.forward(x)
+        y_free, _ = layer.forward(x, keep=False)
+        assert two_halves == [(slice(0, B // 2), slice(B // 2, B))] * 2
+        assert y.dtype == dtype
+        assert y.tobytes() == y_free.tobytes() == y_one.tobytes()
+        expected = _lstm_per_step(layer, x)
+        if T > 1:
+            assert y.tobytes() == expected.tobytes()
+        else:
+            # at T = 1 each window's input is projected on its own, a GEMV,
+            # which need not round as the oracle's [B, Cin] GEMM does, split
+            # or not
+            np.testing.assert_allclose(y, expected, rtol=16 * np.finfo(dtype).eps, atol=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kept_forward_and_backward_match_one_thread(self, monkeypatch, dtype):
+        rng = Rng(67)
+        layer = LSTM.init(3, 4, rng)
+        layer.b = rng.normal(16)
+        x = rng.normal((6, 11, 3)).astype(dtype)
+        probe = rng.normal((6, 11, 4)).astype(dtype)
+        monkeypatch.setattr(layers, "_LSTM_SPLIT", 10**9)
+        y_one, cache_one = layer.forward(x)
+        gx_one, grads_one = layer.backward(cache_one, probe)
+        monkeypatch.setattr(layers, "_LSTM_SPLIT", 0)
+        monkeypatch.setattr(layers, "_cpus", lambda: 2)
+        y, cache = layer.forward(x)
+        gx, grads = layer.backward(cache, probe)
+        assert y.tobytes() == y_one.tobytes()
+        for name in ("A", "C", "H"):
+            assert cache[name].tobytes() == cache_one[name].tobytes()
+        assert gx.tobytes() == gx_one.tobytes()
+        for name in ("W", "U", "b"):
+            assert grads[name].tobytes() == grads_one[name].tobytes()
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_saturated_input_is_silent_and_restores_error_state(self, two_halves, keep):
+        layer = LSTM.init(2, 3, Rng(33))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, _ = layer.forward(np.full((4, 5, 2), 1e6), keep=keep)
+            assert np.geterr() == before
+        assert len(two_halves) == 1 and np.isfinite(y).all()
+
+    def test_no_thread_outlives_the_call(self, two_halves):
+        before = threading.active_count()
+        layer = LSTM.init(2, 3, Rng(68))
+        layer.forward(Rng(69).normal((4, 6, 2)))
+        assert len(two_halves) == 1
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_the_caller(self, two_halves, monkeypatch):
+        steps = layers._lstm_steps
+        caller = threading.current_thread()
+
+        def fail_off_the_caller(*args):
+            if threading.current_thread() is not caller:
+                raise FloatingPointError("worker half")
+            steps(*args)
+
+        monkeypatch.setattr(layers, "_lstm_steps", fail_off_the_caller)
+        before = threading.active_count()
+        layer = LSTM.init(2, 3, Rng(70))
+        with pytest.raises(FloatingPointError, match="worker half"):
+            layer.forward(Rng(71).normal((4, 6, 2)))
+        assert threading.active_count() == before
+
+    def test_one_cpu_never_splits(self, two_halves, monkeypatch):
+        monkeypatch.setattr(layers, "_cpus", lambda: 1)
+        layer = LSTM.init(2, 3, Rng(72))
+        layer.forward(Rng(73).normal((8, 6, 2)))
+        assert two_halves == []
+
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_halves_of_fewer_than_two_windows_never_split(self, two_halves, B):
+        layer = LSTM.init(2, 3, Rng(74))
+        y, _ = layer.forward(Rng(75).normal((B, 6, 2)))
+        assert two_halves == []
+
+    def test_cpu_count_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert layers._cpus() == 1
+        monkeypatch.delattr(layers.os, "sched_getaffinity")
+        monkeypatch.setattr(layers.os, "cpu_count", lambda: None)
+        assert layers._cpus() == 1
+
+    @pytest.mark.parametrize("threads", ["default", "one"])
+    def test_reference_size_forward_golden_digest(self, monkeypatch, threads):
+        """A reference-size (256, 246, 32) -> 64-unit float64 forward keeps
+        the bytes it had before the halves ran on two threads."""
+        if threads == "one":
+            monkeypatch.setattr(layers, "_LSTM_SPLIT", 10**9)
+        rng = Rng(37)
+        layer = LSTM.init(32, 64, rng)
+        layer.b = rng.normal(4 * 64)
+        x = rng.normal((256, 246, 32)) * 2.0
+        y, _ = layer.forward(x, keep=False)
+        assert (
+            hashlib.sha256(y.tobytes()).hexdigest()
+            == "46e5ba23b4a79f3d2a48d804b4e33ec9e68dca66888239ecd9fcd5374cd77691"
+        )
 
 
 class TestFlattenConcat:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import assert_grads_close, huge_head_header, sampled_central_diff
+from conftest import assert_grads_close, huge_head_header, sampled_central_diff, small_spec
 
 from faultfusion.errors import ConfigError, DataError, ShapeError
 from faultfusion.layers import softmax
@@ -22,7 +22,6 @@ from faultfusion.model import (
     load_model,
     reduced_spec,
     save_model,
-    small_spec,
 )
 from faultfusion.tensor import Rng
 from faultfusion.training import batch_cross_entropy

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import assert_grads_close, central_diff
+from conftest import assert_grads_close, central_diff, small_spec
 
 from faultfusion import training
 from faultfusion.data import PAIRED, VIB_ONLY, WindowedDataset, normalize_window
@@ -19,7 +19,6 @@ from faultfusion.model import (
     build_model,
     reduced_spec,
     save_model,
-    small_spec,
 )
 from faultfusion.tensor import Rng
 from faultfusion.training import (
