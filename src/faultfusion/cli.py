@@ -28,7 +28,6 @@ from .data import (
     load_recording,
     normalize_window,
     read_manifest,
-    recording_format,
     segment,
     synth_dataset,
     synth_recordings,
@@ -46,7 +45,7 @@ _INIT_TAG = 0x1217  # rng stream tag for weight init, distinct from training str
 _SECTIONS = {
     "model": ModelSpec,
     "train": TrainConfig,
-    "data": ("source", "manifest", "sample_rate_hz", "window_len"),
+    "data": ("source", "manifest", "window_len"),
     "synth": SynthSpec,
     "output": ("dir",),
 }
@@ -131,9 +130,6 @@ def _slug(name: str) -> str:
 
 def _dataset_for(cp, args, branches: tuple[str, ...], window_len: int):
     """Build the run's dataset from exactly one source: manifest or synth."""
-    rate = _get(cp, "data", "sample_rate_hz", 42000.0, float)
-    if not 0 < rate < np.inf:  # also rejects NaN
-        raise ConfigError(f"[data] sample_rate_hz must be finite and > 0, got {rate}")
     source = _get(cp, "data", "source", None)
     manifest_path = getattr(args, "manifest", None) or _get(cp, "data", "manifest", None)
     if getattr(args, "manifest", None):  # explicit flag beats the config source
@@ -144,9 +140,7 @@ def _dataset_for(cp, args, branches: tuple[str, ...], window_len: int):
         if not manifest_path:
             raise ConfigError("data source is manifest but no manifest path was given")
         manifest = read_manifest(manifest_path)
-        return build_dataset(
-            manifest, BRANCH_MODES[branches], window_len=window_len, sample_rate_hz=rate
-        )
+        return build_dataset(manifest, BRANCH_MODES[branches], window_len=window_len)
     if source == "synth":
         return synth_dataset(_section(cp, "synth", SynthSpec, seed=getattr(args, "seed", None)))
     raise ConfigError(f"unknown data source {source!r} (expected manifest or synth)")
@@ -250,8 +244,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _read_window(path: str, input_len: int) -> np.ndarray:
-    rec = load_recording(path, recording_format(path))
-    return normalize_window(segment(rec, input_len, input_len)[0])
+    return normalize_window(segment(load_recording(path), input_len)[0])
 
 
 def cmd_infer(args) -> int:
@@ -317,7 +310,10 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # every non-finite result ends in a NumericError and its one line, so
+        # numpy's floating-point warnings would only add lines before it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -75,48 +75,37 @@ class Recording:
     """One labeled single-channel sensor capture."""
 
     samples: np.ndarray
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE
     label: int = 0
     modality: str = VIBRATION
     source_id: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=DTYPE).reshape(-1)
-        if self.sample_rate_hz <= 0:
-            raise DataError(f"sample rate must be positive, got {self.sample_rate_hz}")
         if self.modality not in MODALITIES:
             raise DataError(f"unknown modality {self.modality!r}")
 
 
 def load_recording(
     path: str | os.PathLike,
-    fmt: str,
     *,
     label: int = 0,
     modality: str = VIBRATION,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE,
     source_id: str | None = None,
 ) -> Recording:
-    """Read a recording from disk.
+    """Read a recording from disk; its name picks the format.
 
-    fmt "csv": one numeric value per line, an optional non-numeric header
-    line is skipped. fmt "raw_f32le": little-endian IEEE-754 binary32, no
-    header. Values are widened to float64.
+    A .csv file holds one numeric value per line, an optional non-numeric
+    header line is skipped. Any other file is little-endian IEEE-754
+    binary32, no header. Values are widened to float64.
     """
     path = os.fspath(path)
-    if fmt == "csv":
-        samples = _read_csv_samples(path)
-    elif fmt == "raw_f32le":
-        samples = _read_raw_f32le(path)
-    else:
-        raise DataError(f"unknown recording format {fmt!r} (expected csv or raw_f32le)")
+    samples = _read_csv_samples(path) if path.endswith(".csv") else _read_raw_f32le(path)
     if samples.size == 0:
         raise DataError(f"empty recording file {path}")
     if not np.all(np.isfinite(samples)):
         raise DataError(f"non-finite sample in {path}")
     return Recording(
         samples=samples,
-        sample_rate_hz=sample_rate_hz,
         label=label,
         modality=modality,
         source_id=source_id if source_id is not None else path,
@@ -130,11 +119,6 @@ def _utf8_lines(fh, path: str):
         yield from fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def recording_format(path: str) -> str:
-    """The ``load_recording`` format of a file by its name: csv for .csv, else raw_f32le."""
-    return "csv" if path.endswith(".csv") else "raw_f32le"
 
 
 def _read_csv_samples(path: str) -> np.ndarray:
@@ -158,28 +142,26 @@ def _read_raw_f32le(path: str) -> np.ndarray:
         blob = fh.read()
     if len(blob) % 4 != 0:
         raise DataError(f"{path}: {len(blob)} bytes is not a whole number of float32 values")
-    return np.frombuffer(blob, dtype="<f4").astype(DTYPE)
+    # widening a signaling NaN warns; load_recording rejects it right after
+    with np.errstate(invalid="ignore"):
+        return np.frombuffer(blob, dtype="<f4").astype(DTYPE)
 
 
-def segment(
-    recording: Recording,
-    window_len: int = DEFAULT_WINDOW_LEN,
-    hop: int = DEFAULT_WINDOW_LEN,
-) -> np.ndarray:
-    """Consecutive [window_len, 1] windows; the trailing remainder is dropped.
+def segment(recording: Recording, window_len: int = DEFAULT_WINDOW_LEN) -> np.ndarray:
+    """Consecutive, non-overlapping [window_len, 1] windows; the trailing
+    remainder is dropped.
 
-    Returns an array of shape [num_windows, window_len, 1] with
-    num_windows = floor((N - window_len) / hop) + 1.
+    Returns an array of shape [floor(N / window_len), window_len, 1].
     """
-    if window_len < 1 or hop < 1:
-        raise DataError(f"window_len and hop must be >= 1, got {window_len} and {hop}")
+    if window_len < 1:
+        raise DataError(f"window_len must be >= 1, got {window_len}")
     x = recording.samples
     n = x.shape[0]
     if n < window_len:
         raise DataError(
             f"recording {recording.source_id!r}: {n} samples < window length {window_len}"
         )
-    return np.lib.stride_tricks.sliding_window_view(x, window_len)[::hop, :, None].copy()
+    return x[: n - n % window_len].reshape(-1, window_len, 1).copy()
 
 
 def normalize_window(w: np.ndarray) -> np.ndarray:
@@ -280,16 +262,14 @@ def read_manifest(path: str | os.PathLike) -> Manifest:
     return Manifest(rows=rows, class_names=class_names, base_dir=os.path.dirname(path) or ".")
 
 
-def _load_row(manifest: Manifest, row: dict, sample_rate_hz: float) -> Recording:
+def _load_row(manifest: Manifest, row: dict) -> Recording:
     file_path = row["file_path"]
     if not os.path.isabs(file_path):
         file_path = os.path.join(manifest.base_dir, file_path)
     return load_recording(
         file_path,
-        recording_format(file_path),
         label=manifest.class_names.index(row["label_name"]),
         modality=row["modality"],
-        sample_rate_hz=sample_rate_hz,
         source_id=row["pair_key"] or file_path,
     )
 
@@ -302,7 +282,7 @@ def _windowed(units, mode: str, window_len: int, class_names, normalize: bool = 
     chunks: dict[str, list[np.ndarray]] = {branch: [] for branch in branches}
     labels, sources = [], []
     for source_id, label, recordings in units:
-        windows = [segment(rec, window_len, window_len) for rec in recordings]
+        windows = [segment(rec, window_len) for rec in recordings]
         n = min(w.shape[0] for w in windows)
         # drop the cut copies before the next unit's recordings are made
         windows = [normalize_window(w[:n]) if normalize else w[:n] for w in windows]
@@ -319,7 +299,7 @@ def _windowed(units, mode: str, window_len: int, class_names, normalize: bool = 
     )
 
 
-def _paired_units(manifest: Manifest, sample_rate_hz: float):
+def _paired_units(manifest: Manifest):
     """A (pair_key, label, [vibration, acoustic]) unit per pair_key, in order of
     first appearance; an empty pair_key is a key too."""
     by_key: dict[str, dict[str, dict]] = {}
@@ -334,7 +314,7 @@ def _paired_units(manifest: Manifest, sample_rate_hz: float):
             raise DataError(f"pair_key {key!r} is missing its {missing} file")
         if slot[VIBRATION]["label_name"] != slot[ACOUSTIC]["label_name"]:
             raise DataError(f"pair_key {key!r} has conflicting labels")
-        recs = [_load_row(manifest, slot[m], sample_rate_hz) for m in (VIBRATION, ACOUSTIC)]
+        recs = [_load_row(manifest, slot[m]) for m in (VIBRATION, ACOUSTIC)]
         yield key, recs[0].label, recs
 
 
@@ -342,7 +322,6 @@ def build_dataset(
     manifest: Manifest,
     mode: str,
     window_len: int = DEFAULT_WINDOW_LEN,
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE,
     normalize: bool = True,
 ) -> WindowedDataset:
     """Segment, normalize and label every manifest recording.
@@ -354,13 +333,13 @@ def build_dataset(
     if mode not in _MODE_BRANCHES:
         raise DataError(f"unknown dataset mode {mode!r}")
     if mode == PAIRED:
-        units = _paired_units(manifest, sample_rate_hz)
+        units = _paired_units(manifest)
     else:
         sensor = SENSORS[_MODE_BRANCHES[mode][0]]
         rows = [r for r in manifest.rows if r["modality"] == sensor]
         if not rows:
             raise DataError(f"manifest has no {sensor} rows")
-        recs = (_load_row(manifest, row, sample_rate_hz) for row in rows)
+        recs = (_load_row(manifest, row) for row in rows)
         units = ((rec.source_id, rec.label, [rec]) for rec in recs)
     return _windowed(units, mode, window_len, manifest.class_names, normalize)
 
@@ -516,13 +495,7 @@ def synth_recording(class_id: int, spec: SynthSpec, rng: Rng, modality: str) -> 
     sigma = spec.noise_sigma(modality)
     if sigma > 0:
         x += sigma * rng.normal(n)
-    return Recording(
-        samples=x,
-        sample_rate_hz=fs,
-        label=class_id,
-        modality=modality,
-        source_id=f"synth-c{class_id}",
-    )
+    return Recording(samples=x, label=class_id, modality=modality, source_id=f"synth-c{class_id}")
 
 
 def synth_recordings(spec: SynthSpec):

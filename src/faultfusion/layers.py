@@ -66,9 +66,10 @@ malloc arena stays small. Every GEMM keeps its K and every half at least 2
 rows, so each row gets the bits of a one-thread pass; a 1-row half would
 take GEMV paths, which round differently. The thread is started and joined
 inside the call (nothing outlives it, a forked child inherits no pool),
-enters its own errstate (numpy's error state is per thread), and an
-exception it raises is raised again in the caller. Batches of B=64 at 64
-units or of B=256 at 24 units stay below the threshold and run on one thread.
+runs under the caller's numpy error state (which is per thread) with
+overflow ignored, as the caller's half does, and an exception it raises is
+raised again in the caller. Batches of B=64 at 64 units or of B=256 at 24
+units stay below the threshold and run on one thread.
 
 A kept cache holds only what its backward reads: the LSTM's slabs above, a
 Conv1D's or Dense's input, a MaxPool1D's tap indices and a ReLU's mask
@@ -344,13 +345,16 @@ def _cpus() -> int:
 
 def _on_two_threads(work, first, second) -> None:
     """work(first) on a new thread while this one runs work(second); the
-    thread is joined before returning, and an exception it raised is raised
-    again here once work(second) is done."""
+    thread runs under this thread's numpy error state (a new thread starts
+    from numpy's defaults), is joined before returning, and an exception it
+    raised is raised again here once work(second) is done."""
     errors = []
+    state = np.geterr()
 
     def run():
         try:
-            work(first)
+            with np.errstate(**state):
+                work(first)
         except BaseException as exc:  # raised again in the caller
             errors.append(exc)
 
@@ -372,8 +376,7 @@ def _lstm_steps(x, W, bias, U, A, C, H, hU, ig, tc, n: int, per_window: bool) ->
     T = x.shape[1]
     keep = len(A) == T  # a kept A spans the sequence, else it holds one block
     hU4 = hU.reshape(len(hU), 4, -1).transpose(1, 0, 2)
-    # exp(-z) overflow saturates the sigmoid to 0.0, the correct limit; the
-    # error state is per thread, so each thread that runs steps sets it
+    # exp(-z) overflow saturates the sigmoid to 0.0, the correct limit
     with np.errstate(over="ignore"):
         for t0 in range(0, T, n):
             t1 = min(t0 + n, T)

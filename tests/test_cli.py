@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,9 +55,6 @@ TINY_TRAIN = """
     [data]
     source = synth
 """ + TINY_SYNTH
-
-
-_DATA_RATE = "[data] sample_rate_hz must be finite and > 0, got "
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -269,6 +267,15 @@ class TestTrain:
             expected = f"[{section}] learnig_rate: unknown key, not a {cls} field"
         assert_one_line_error(capsys, f"usage error: {expected}")
 
+    def test_data_sample_rate_is_an_unknown_key(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, TINY_TRAIN.replace("[data]", "[data]\n    sample_rate_hz = 42000")
+        )
+        assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
+        assert_one_line_error(
+            capsys, "usage error: [data] sample_rate_hz: unknown key, not a [data] field"
+        )
+
     def test_non_utf8_manifest_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
         manifest.write_bytes(b"file_path,modality,label_name,pair_key\na.f32,vibration,H\xff,k\n")
@@ -311,11 +318,6 @@ class TestTrain:
             ("train", "[synth]", "sample_rate_hz = 0", "sample_rate_hz must be finite and > 0"),
             ("generate", "[synth]", "sample_rate_hz = 0", "sample_rate_hz must be finite and > 0"),
             ("generate", "[synth]", "sample_rate_hz = inf", "sample_rate_hz must be finite"),
-            ("train", "[data]", "sample_rate_hz = 0", _DATA_RATE + "0.0"),
-            ("train", "[data]", "sample_rate_hz = -5", _DATA_RATE + "-5.0"),
-            ("train", "[data]", "sample_rate_hz = nan", _DATA_RATE + "nan"),
-            ("train", "[data]", "sample_rate_hz = inf", _DATA_RATE + "inf"),
-            ("train", "source = synth", "sample_rate_hz = nan", _DATA_RATE + "nan"),
             ("generate", "[synth]", "base_repetition_hz = 0", "repetition_hz of class 0 is 0"),
             (
                 "generate",
@@ -326,9 +328,7 @@ class TestTrain:
         ],
         ids=[
             "data_window_0", "data_window_neg", "synth_window_0_train", "synth_window_0_generate",
-            "rate_0_train", "rate_0_generate", "rate_inf_generate",
-            "data_rate_0", "data_rate_neg", "data_rate_nan", "data_rate_inf",
-            "data_rate_nan_synth_source", "repetition_0",
+            "rate_0_train", "rate_0_generate", "rate_inf_generate", "repetition_0",
             "repetition_0_at_class_2",
         ],
     )
@@ -624,6 +624,107 @@ def test_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path, TINY_TRAIN)
     assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+DIVERGING_TRAIN = """
+    [model]
+    kind = vibration_cnn
+    conv_channels = 4
+    conv_kernels = 5
+    pool_sizes = 4
+    dense_units = 8
+
+    [train]
+    epochs = 2
+    batch_size = 16
+    learning_rate = 1e12
+
+    [synth]
+    num_classes = 3
+    windows_per_class = 20
+    window_len = 200
+"""
+
+
+def test_diverging_training_prints_one_line(tmp_path, capsys):
+    config = write_config(tmp_path, DIVERGING_TRAIN)
+    assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 3
+    assert_one_line_error(capsys, "numeric failure: epoch 1, batch ")
+
+
+def test_overflowing_weights_print_one_line(tmp_path, capsys):
+    model = build_model(small_spec(VIBRATION_CNN), Rng(0))
+    model.parameters()["head.0.weights"][...] = 1e308
+    path = tmp_path / "m.fmdl"
+    save_model(model, path)
+    vib = tmp_path / "v.f32"
+    vib.write_bytes(Rng(1).normal(64).astype("<f4").tobytes())
+    assert main(["infer", str(path), "--vibration", str(vib)]) == 3
+    assert_one_line_error(capsys, "numeric failure: ")
+
+
+def _mutated(blob: bytes, rng: Rng) -> bytes:
+    """blob with 1-3 edits, each flipping, deleting or inserting one byte."""
+    out = bytearray(blob)
+    for _ in range(1 + int(rng.uniform() * 3)):
+        op, at = int(rng.uniform() * 3), int(rng.uniform() * len(out))
+        byte = int(rng.uniform() * 256)
+        if op == 0:
+            out[at] ^= byte or 0xFF
+        elif op == 1:
+            del out[at]
+        else:
+            out.insert(at, byte)
+    return bytes(out)
+
+
+def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys):
+    """300 seeded mutations of a model, two recordings and a manifest: main
+    returns 0-3, a failure prints one stderr line, and nothing warns."""
+    data = tmp_path / "data"
+    synth = "[synth]\nnum_classes = 3\nwindows_per_class = 2\nwindow_len = 64\n"
+    assert main(["generate", "--config", write_config(tmp_path, synth), "--out", str(data)]) == 0
+    model = tmp_path / "m.fmdl"
+    save_model(build_model(small_spec(VIBRATION_CNN), Rng(0)), model)
+    samples = Rng(1).normal(70)
+    bases = {
+        "m.fmdl": model.read_bytes(),
+        "v.f32": samples.astype("<f4").tobytes(),
+        "v.csv": "".join(f"{v:.6f}\n" for v in samples).encode(),
+        "manifest.csv": (data / "manifest.csv").read_bytes(),
+    }
+    for name, blob in bases.items():
+        (tmp_path / name).write_bytes(blob)
+    out = str(tmp_path / "o")
+    argv = {
+        "m.fmdl": ["infer", str(tmp_path / "m.fmdl"), "--vibration", str(tmp_path / "v.f32")],
+        "v.f32": ["infer", str(model), "--vibration", str(tmp_path / "v.f32")],
+        "v.csv": ["infer", str(model), "--vibration", str(tmp_path / "v.csv")],
+        "manifest.csv": ["evaluate", str(model), "--manifest", str(data / "manifest.csv"),
+                         "--out", out],
+    }
+    targets = {**{n: tmp_path / n for n in bases}, "manifest.csv": data / "manifest.csv"}
+    capsys.readouterr()
+    for name in bases:  # every base file is valid input
+        assert main(argv[name]) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    rng = Rng(2024)
+    codes = []
+    for case in range(300):
+        name = list(bases)[case % len(bases)]
+        targets[name].write_bytes(_mutated(bases[name], rng))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv[name])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (case, name)
+        if code:
+            assert err.count("\n") == 1 and "Traceback" not in err, (case, name, err)
+        else:
+            assert err == "", (case, name, err)
+        codes.append(code)
+        targets[name].write_bytes(bases[name])
+    assert codes.count(0) and codes.count(2), codes  # mutations both pass and fail
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,37 +35,37 @@ class TestLoadRecording:
     def test_csv_three_values(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("1.0\n2.0\n3.0\n")
-        rec = load_recording(p, "csv")
+        rec = load_recording(p)
         assert np.array_equal(rec.samples, [1.0, 2.0, 3.0])
 
     def test_csv_header_skipped(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("amplitude\n1.5\n-2.5\n")
-        rec = load_recording(p, "csv")
+        rec = load_recording(p)
         assert np.array_equal(rec.samples, [1.5, -2.5])
 
     def test_csv_unparseable_line_reports_number(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("1.0\n2.0\nbogus\n4.0\n")
         with pytest.raises(DataError, match="line 3"):
-            load_recording(p, "csv")
+            load_recording(p)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("")
         with pytest.raises(DataError, match="empty"):
-            load_recording(p, "csv")
+            load_recording(p)
 
     def test_nan_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("1.0\nnan\n")
         with pytest.raises(DataError, match="non-finite"):
-            load_recording(p, "csv")
+            load_recording(p)
 
     def test_raw_f32le_twelve_bytes(self, tmp_path):
         p = tmp_path / "r.f32"
         p.write_bytes(np.array([0.5, -1.5, 2.0], dtype="<f4").tobytes())
-        rec = load_recording(p, "raw_f32le")
+        rec = load_recording(p)
         assert rec.samples.shape == (3,)
         assert np.array_equal(rec.samples, [0.5, -1.5, 2.0])
 
@@ -72,55 +73,61 @@ class TestLoadRecording:
         p = tmp_path / "r.f32"
         p.write_bytes(b"\x00" * 10)
         with pytest.raises(DataError, match="float32"):
-            load_recording(p, "raw_f32le")
+            load_recording(p)
 
-    def test_unknown_format(self, tmp_path):
-        p = tmp_path / "r.dat"
-        p.write_text("1")
-        with pytest.raises(DataError, match="format"):
-            load_recording(p, "mat")
+    @pytest.mark.parametrize("name", ["r.csv", "r.f32", "r.dat", "r.csv.f32"])
+    def test_name_picks_the_format(self, tmp_path, name):
+        p = tmp_path / name
+        p.write_bytes(b"1.0\n")  # the text 1.0, or the bytes of one float32
+        as_raw = float(np.frombuffer(b"1.0\n", dtype="<f4")[0])
+        assert load_recording(p).samples.tolist() == [1.0 if name.endswith(".csv") else as_raw]
+
+    def test_signaling_nan_is_data_error_without_warning(self, tmp_path):
+        p = tmp_path / "r.f32"
+        p.write_bytes(np.array([0x3F800000, 0x7F800001], dtype="<u4").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite sample"):
+                load_recording(p)
 
 
 class TestSegment:
     def test_table_arithmetic_420k_samples(self):
         rec = Recording(samples=np.zeros(420_000))
-        assert segment(rec, 1000, 1000).shape == (420, 1000, 1)
+        assert segment(rec, 1000).shape == (420, 1000, 1)
 
     def test_exactly_one_window(self):
         rec = Recording(samples=np.arange(1000.0))
-        out = segment(rec, 1000, 1000)
+        out = segment(rec, 1000)
         assert out.shape == (1, 1000, 1)
 
     def test_remainder_dropped(self):
         rec = Recording(samples=np.zeros(1999))
-        assert segment(rec, 1000, 1000).shape[0] == 1
+        assert segment(rec, 1000).shape[0] == 1
 
     def test_too_short(self):
         rec = Recording(samples=np.zeros(999), source_id="short")
         with pytest.raises(DataError, match="short"):
-            segment(rec, 1000, 1000)
+            segment(rec, 1000)
 
     def test_concatenation_reconstructs_prefix(self):
         samples = Rng(0).normal(4321)
         rec = Recording(samples=samples)
-        wins = segment(rec, 100, 100)
+        wins = segment(rec, 100)
         rebuilt = wins[:, :, 0].reshape(-1)
         assert np.array_equal(rebuilt, samples[: 43 * 100])
 
-    def test_overlapping_hop(self):
-        rec = Recording(samples=np.arange(300.0))
-        wins = segment(rec, 100, 50)
-        assert wins.shape[0] == 5
-        assert np.array_equal(wins[1, :, 0], np.arange(50.0, 150.0))
+    def test_windows_never_overlap(self):
+        rec = Recording(samples=np.arange(2000.0))
+        wins = segment(rec, 500)
+        assert wins.shape == (4, 500, 1)
+        assert np.array_equal(wins.reshape(-1), np.arange(2000.0))
 
-    @pytest.mark.parametrize(
-        "window_len,hop", [(0, 100), (-5, 100), (100, 0), (100, -1)],
-        ids=["window_0", "window_negative", "hop_0", "hop_negative"],
-    )
-    def test_window_or_hop_below_one_is_data_error(self, window_len, hop):
+    @pytest.mark.parametrize("window_len", [0, -5], ids=["window_0", "window_negative"])
+    def test_window_or_hop_below_one_is_data_error(self, window_len):
         rec = Recording(samples=np.zeros(300))
-        with pytest.raises(DataError, match=f"got {window_len} and {hop}"):
-            segment(rec, window_len, hop)
+        with pytest.raises(DataError, match=f"window_len must be >= 1, got {window_len}$"):
+            segment(rec, window_len)
 
 
 def _two_pass_normalize(w):

@@ -707,6 +707,13 @@ class TestLSTMTwoThreads:
             assert np.geterr() == before
         assert len(two_halves) == 1 and np.isfinite(y).all()
 
+    def test_worker_keeps_the_callers_error_state(self, two_halves):
+        layer = LSTM.init(2, 3, Rng(34))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            y, _ = layer.forward(np.full((4, 5, 2), np.inf), keep=False)
+        assert len(two_halves) == 1 and np.isnan(y).any()
+
     def test_no_thread_outlives_the_call(self, two_halves):
         before = threading.active_count()
         layer = LSTM.init(2, 3, Rng(68))
