@@ -154,8 +154,11 @@ def cmd_generate(args) -> int:
     for c, (name, recordings) in enumerate(zip(spec.class_names, synth_recordings(spec))):
         for rec in recordings:
             fname = f"{c:02d}_{_slug(name)}_{rec.modality}.f32"
+            samples = rec.samples.astype("<f4")
+            if not np.isfinite(samples).all():
+                raise ConfigError(f"[synth] signal of {fname} exceeds the float32 range")
             with open(os.path.join(out, fname), "wb") as fh:
-                fh.write(rec.samples.astype("<f4").tobytes())
+                fh.write(samples.tobytes())
             rows.append(
                 {
                     "file_path": fname,

@@ -143,13 +143,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(as_float(x), 0.0)
 
 
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Mask gradient where the forward input was <= 0; x is that input or its
-    bool mask x > 0, which is used as is (mask > 0 would compare in int64)."""
-    x = np.asarray(x)
-    return as_float(grad_out) * (x if x.dtype == np.bool_ else x > 0)
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax for [C] or [B, C] inputs."""
     z = as_float(z)
@@ -283,7 +276,7 @@ class ReLULayer:
         return relu(x), ({"mask": np.asarray(x) > 0} if keep else None)
 
     def backward(self, cache, grad_out: np.ndarray):
-        return relu_backward(cache["mask"], grad_out), {}
+        return as_float(grad_out) * cache["mask"], {}
 
 
 class Dense:

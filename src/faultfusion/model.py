@@ -92,17 +92,19 @@ class ModelSpec:
     dense_units: int = 32
 
     def __post_init__(self):
-        kind_branches(self.kind)  # rejects an unknown kind
+        branches = kind_branches(self.kind)  # rejects an unknown kind
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.input_len < 1:
             raise ConfigError(f"input_len must be >= 1, got {self.input_len}")
-        for prefix, _ in _BRANCH_LAYOUT.values():
+        for branch, (prefix, _) in _BRANCH_LAYOUT.items():
             names = [prefix + name for name in _CONV_FIELDS]
             for name in names:
                 object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
             if len({len(getattr(self, name)) for name in names}) != 1:
                 raise ConfigError(f"{names[0]}, {names[1]} and {names[2]} must align")
+            if branch in branches and not getattr(self, names[0]):
+                raise ConfigError(f"{self.kind} needs at least one conv block in {names[0]}")
             for name, low in zip(names, (1, 1, 2)):
                 if any(v < low for v in getattr(self, name)):
                     raise ConfigError(
@@ -143,59 +145,20 @@ _PARAM_SHAPES = {
 }
 
 
-# The size budget of a spec, checked before any layer list or array exists.
-# The reference fusion spec has 823,497 parameters, and its layers' outputs
-# hold 228,969 values per window. At the caps a float64 copy of the weights
-# takes 512 MiB, and a float32 window's outputs 256 MiB.
+# The size budget of a spec, counted while its layer list is made, before any
+# array exists. The reference fusion spec has 823,497 parameters and 22
+# layers, and its layers' outputs hold 228,969 values per window. At the caps
+# a float64 copy of the weights takes 512 MiB and a float32 window's outputs
+# 256 MiB. The layer cap keeps every header save_model writes inside
+# _MAX_HEADER_BYTES: a search of specs at the caps found at most 34,375 header
+# bytes at 512 layers (505 LSTMs of 100 units), and 67,218 at 1024.
 MAX_PARAMS = 1 << 26
 MAX_WINDOW_VALUES = 1 << 26
+MAX_LAYERS = 1 << 9
 
 
 def _param_count(cls, *sizes) -> int:
     return sum(math.prod(shape) for shape in _PARAM_SHAPES[cls](*sizes).values())
-
-
-def _check_budget(spec: ModelSpec) -> None:
-    """ConfigError if the spec's parameter count or the values its layers'
-    outputs hold for one window exceed the caps. Pure arithmetic on the spec
-    and ``conv_pool_chain``, so it costs the same for any size."""
-    params = values = head_in = 0
-    for branch in kind_branches(spec.kind):
-        prefix, lstm = _BRANCH_LAYOUT[branch]
-        channels, kernels, pools = (getattr(spec, prefix + name) for name in _CONV_FIELDS)
-        lengths = conv_pool_chain(spec.input_len, kernels, pools, SENSORS[branch])
-        width = 1
-        for ch, k, conv_len, pool_len in zip(channels, kernels, lengths[1::2], lengths[2::2]):
-            params += _param_count(Conv1D, k, width, ch)
-            values += (2 * conv_len + pool_len) * ch  # conv, ReLU and pool outputs
-            width = ch
-        layers, u = (spec.lstm_layers if lstm else 0), spec.lstm_units
-        if layers:
-            params += _param_count(LSTM, width, u) + (layers - 1) * _param_count(LSTM, u, u)
-            values += layers * lengths[-1] * u
-            width = u
-        head_in += lengths[-1] * width
-    dense, classes = spec.dense_units, spec.num_classes
-    params += _param_count(Dense, head_in, dense) + _param_count(Dense, dense, classes)
-    values += 2 * dense + classes
-    for what, count, cap in (
-        ("parameters", params, MAX_PARAMS),
-        ("layer output values per window", values, MAX_WINDOW_VALUES),
-    ):
-        if count > cap:
-            raise ConfigError(f"model spec has {count} {what}, above the limit of {cap}")
-
-
-def _conv_blocks(sensor, channels, kernels, pools) -> tuple[list[tuple], int]:
-    """Conv -> ReLU -> MaxPool blocks over a 1-channel input; also the channels out."""
-    if not channels:
-        raise ShapeError(f"{sensor} branch: at least one conv block is required")
-    plan = []
-    cin = 1
-    for ch, k, p in zip(channels, kernels, pools):
-        plan += [(Conv1D, k, cin, ch), (ReLULayer,), (MaxPool1D, p)]
-        cin = ch
-    return plan, cin
 
 
 def _layer_plan(spec: ModelSpec) -> dict[str, list[tuple]]:
@@ -203,27 +166,48 @@ def _layer_plan(spec: ModelSpec) -> dict[str, list[tuple]]:
     (class, *size args) in build order.
 
     Pure arithmetic on the spec: nothing is allocated, so a weight file's
-    header can be checked against it before any array exists. The spec's
-    size budget is checked first.
+    header can be checked against it before any array exists. The same pass
+    counts the spec's parameters, the values its layers' outputs hold for one
+    window and its layers, and raises ConfigError for the first count above
+    its cap. The LSTM entries are listed only after that check, since
+    ``lstm_layers`` alone can ask for any number of them.
     """
-    _check_budget(spec)
     plan: dict[str, list[tuple]] = {}
-    head_in = 0
+    lstm_inputs: dict[str, int] = {}  # branch -> input width of its LSTM run
+    units, depth = spec.lstm_units, spec.lstm_layers
+    params = values = head_in = 0
     for branch in kind_branches(spec.kind):
-        sensor, (prefix, lstm) = SENSORS[branch], _BRANCH_LAYOUT[branch]
+        prefix, lstm = _BRANCH_LAYOUT[branch]
         channels, kernels, pools = (getattr(spec, prefix + name) for name in _CONV_FIELDS)
-        steps = conv_pool_chain(spec.input_len, kernels, pools, sensor)[-1]
-        layers, width = _conv_blocks(sensor, channels, kernels, pools)
-        for _ in range(spec.lstm_layers if lstm else 0):
-            layers.append((LSTM, width, spec.lstm_units))
-            width = spec.lstm_units
+        lengths = conv_pool_chain(spec.input_len, kernels, pools, SENSORS[branch])
+        layers, width = [], 1
+        for ch, k, p, conv_len, pool_len in zip(
+            channels, kernels, pools, lengths[1::2], lengths[2::2]
+        ):
+            layers += [(Conv1D, k, width, ch), (ReLULayer,), (MaxPool1D, p)]
+            params += _param_count(Conv1D, k, width, ch)
+            values += (2 * conv_len + pool_len) * ch  # conv, ReLU and pool outputs
+            width = ch
+        if lstm and depth:
+            params += _param_count(LSTM, width, units)
+            params += (depth - 1) * _param_count(LSTM, units, units)
+            values += depth * lengths[-1] * units
+            lstm_inputs[branch], width = width, units
         plan[branch] = layers + [(Flatten,)]
-        head_in += steps * width
-    plan["head"] = [
-        (Dense, head_in, spec.dense_units),
-        (ReLULayer,),
-        (Dense, spec.dense_units, spec.num_classes),
-    ]
+        head_in += lengths[-1] * width
+    dense, classes = spec.dense_units, spec.num_classes
+    plan["head"] = [(Dense, head_in, dense), (ReLULayer,), (Dense, dense, classes)]
+    params += _param_count(Dense, head_in, dense) + _param_count(Dense, dense, classes)
+    values += 2 * dense + classes
+    for what, count, cap in (
+        ("parameters", params, MAX_PARAMS),
+        ("layer output values per window", values, MAX_WINDOW_VALUES),
+        ("layers", sum(map(len, plan.values())) + depth * len(lstm_inputs), MAX_LAYERS),
+    ):
+        if count > cap:
+            raise ConfigError(f"model spec has {count} {what}, above the limit of {cap}")
+    for branch, cin in lstm_inputs.items():  # ahead of the branch's Flatten
+        plan[branch][-1:-1] = [(LSTM, cin, units)] + [(LSTM, units, units)] * (depth - 1)
     return plan
 
 

@@ -86,20 +86,17 @@ def stratified_split(
     its windows move together.
     """
     labels = np.asarray(dataset.labels)
+    if granularity not in (WINDOW_GRANULARITY, FILE_GRANULARITY):
+        raise ConfigError(f"unknown split granularity {granularity!r}")
+    unit_of = dataset.source_ids if granularity == FILE_GRANULARITY else range(len(labels))
     rng = Rng(seed)
     train_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
     for c in range(dataset.num_classes):
-        class_idx = np.flatnonzero(labels == c)
-        if granularity == WINDOW_GRANULARITY:
-            units = [np.array([i]) for i in class_idx]
-        elif granularity == FILE_GRANULARITY:
-            seen: dict[str, list[int]] = {}
-            for i in class_idx:
-                seen.setdefault(dataset.source_ids[i], []).append(int(i))
-            units = [np.asarray(v) for v in seen.values()]
-        else:
-            raise ConfigError(f"unknown split granularity {granularity!r}")
+        grouped: dict[object, list[int]] = {}
+        for i in np.flatnonzero(labels == c):
+            grouped.setdefault(unit_of[i], []).append(int(i))
+        units = [np.asarray(v) for v in grouped.values()]
         if len(units) < 2:
             name = dataset.class_names[c]
             raise DataError(

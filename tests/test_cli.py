@@ -114,6 +114,19 @@ class TestGenerate:
         assert main(["generate", "--config", config, "--out", str(tmp_path / "o")]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_samples_beyond_float32_are_usage_error(self, tmp_path, capsys):
+        """As reproduced: exit 0, and 01_class-2_acoustic.f32 held 12 inf of its
+        200 samples."""
+        text = "[synth]\nnum_classes = 2\nwindows_per_class = 2\nwindow_len = 100\n"
+        config = write_config(tmp_path, text + "impulse_amplitude = 1e300\n")
+        out = tmp_path / "d"
+        assert main(["generate", "--config", config, "--out", str(out)]) == 1
+        assert_one_line_error(
+            capsys, "usage error: [synth] signal of 01_class-2_acoustic.f32 exceeds the float32"
+        )
+        for path in out.iterdir():
+            assert np.isfinite(np.fromfile(path, dtype="<f4")).all(), path.name
+
     def test_unknown_command_is_usage_error(self):
         assert main(["transmogrify"]) == 1
 
@@ -243,6 +256,27 @@ class TestTrain:
             r"usage error: model spec has \d+ parameters, above the limit of 67108864\n", err
         ), err
         assert peak < 4 * 2**20, peak
+
+    def test_model_above_the_layer_cap_is_usage_error(self, tmp_path, capsys):
+        """A million 1-unit LSTMs stay under the parameter and value caps."""
+        text = TINY_TRAIN.replace("vibration_cnn", "acoustic_cnn_lstm")
+        text = text.replace("lstm_units = 4", "lstm_units = 1")
+        config = write_config(tmp_path, text.replace("lstm_layers = 1", "lstm_layers = 1000000"))
+        assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: model spec has 1000007 layers, above the limit of 512\n"
+        )
+
+    @pytest.mark.parametrize("kind,prefix", [("vibration_cnn", ""), ("acoustic_cnn_lstm", "ac_")])
+    def test_empty_conv_branch_is_usage_error(self, tmp_path, capsys, kind, prefix):
+        text = TINY_TRAIN.replace("vibration_cnn", kind)
+        for name in ("conv_channels", "conv_kernels", "pool_sizes"):
+            key = f"\n    {prefix}{name} ="
+            text, count = re.subn(re.escape(key) + r" [\d,]+", key, text)
+            assert count == 1
+        config = write_config(tmp_path, text)
+        assert main(["train", "--config", config, "--out", str(tmp_path / "r")]) == 1
+        assert_one_line_error(capsys, f"usage error: {kind} needs at least one conv block")
 
     @pytest.mark.parametrize(
         "section,cls",

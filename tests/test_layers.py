@@ -18,7 +18,6 @@ from faultfusion.layers import (
     ReLULayer,
     concat,
     relu,
-    relu_backward,
     softmax,
 )
 from faultfusion.tensor import Rng
@@ -265,13 +264,19 @@ class TestMaxPool:
         assert gx.tobytes() == self._argmax_pool(x, p, np.ones((1, 2, 2)))[1].tobytes()
 
 
+def relu_grad(x, grad_out):
+    """The input gradient of a ReLULayer forward of x then backward of grad_out."""
+    layer = ReLULayer()
+    return layer.backward(layer.forward(x)[1], grad_out)[0]
+
+
 class TestReLU:
     def test_forward(self):
         assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
     def test_backward_mask_and_zero_at_zero(self):
         x = np.array([-1.0, 0.0, 2.0])
-        assert np.array_equal(relu_backward(x, np.array([5.0, 5.0, 5.0])), [0.0, 0.0, 5.0])
+        assert np.array_equal(relu_grad(x, np.array([5.0, 5.0, 5.0])), [0.0, 0.0, 5.0])
 
     def test_idempotent(self):
         x = Rng(2).normal(100)
@@ -301,7 +306,7 @@ class TestReLU:
         assert x.tobytes() == before and y.tobytes() == relu(x).tobytes()
         gx, grads = ReLULayer().backward(cache, g)
         assert grads == {} and gx.dtype == dtype
-        assert gx.tobytes() == relu_backward(x, g).tobytes()
+        assert gx.tobytes() == (g * (x > 0)).tobytes()
 
 
 class TestDense:
@@ -795,9 +800,9 @@ class TestFlattenConcat:
 
     def test_helpers_keep_float32_and_make_anything_else_float64(self):
         x32 = np.array([[-1.0, 2.0]], dtype=np.float32)
-        for out in (relu(x32), relu_backward(x32, x32), softmax(x32), concat(x32, x32)):
+        for out in (relu(x32), relu_grad(x32, x32), softmax(x32), concat(x32, x32)):
             assert out.dtype == np.float32
-        for out in (relu([-1, 2]), relu_backward([-1, 2], [1, 1]), softmax([[1, 2]]),
+        for out in (relu([-1, 2]), relu_grad([-1, 2], [1, 1]), softmax([[1, 2]]),
                     concat([1], np.array([2], dtype=np.int32))):
             assert out.dtype == np.float64
 

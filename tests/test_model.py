@@ -1,4 +1,5 @@
 import os
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from faultfusion.model import (
     ACOUSTIC_CNN_LSTM,
     BRANCHES,
     FUSION,
+    MAX_LAYERS,
     MAX_PARAMS,
     MODEL_KINDS,
     VIBRATION_CNN,
@@ -51,6 +53,22 @@ class TestSpecAndChains:
     def test_mismatched_conv_lists(self):
         with pytest.raises(ConfigError, match="align"):
             ModelSpec(kind=VIBRATION_CNN, conv_channels=(4, 8), conv_kernels=(3,))
+
+    @pytest.mark.parametrize(
+        "kind,prefix",
+        [(VIBRATION_CNN, ""), (ACOUSTIC_CNN_LSTM, "ac_"), (FUSION, ""), (FUSION, "ac_")],
+        ids=["vibration", "acoustic", "fusion_vib", "fusion_ac"],
+    )
+    def test_empty_conv_branch_of_the_kind(self, kind, prefix):
+        empty = {prefix + name: () for name in ("conv_channels", "conv_kernels", "pool_sizes")}
+        with pytest.raises(ConfigError, match=f"at least one conv block in {prefix}conv_channels"):
+            ModelSpec(kind=kind, **empty)
+
+    @pytest.mark.parametrize("kind,prefix", [(VIBRATION_CNN, "ac_"), (ACOUSTIC_CNN_LSTM, "")])
+    def test_empty_conv_branch_outside_the_kind_is_valid(self, kind, prefix):
+        empty = {prefix + name: () for name in ("conv_channels", "conv_kernels", "pool_sizes")}
+        model = build_model(replace(small_spec(kind), **empty), Rng(1))
+        assert list(model.stacks) == [*BRANCHES[kind], "head"]
 
 
 class TestBuilders:
@@ -493,3 +511,42 @@ class TestSizeBudget:
         huge_head_header(path, input_len=10**8)
         with pytest.raises(DataError, match="800000029 parameters, above the limit"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "lstm_layers,builds",
+        [(MAX_LAYERS - 7, True), (MAX_LAYERS - 6, False)],
+        ids=["at", "above"],
+    )
+    def test_layer_cap_counts_every_layer(self, tmp_path, lstm_layers, builds):
+        """small_spec's acoustic net has 7 layers besides its LSTMs. A model at
+        the cap saves a header that load_model reads."""
+        spec = replace(small_spec(ACOUSTIC_CNN_LSTM), lstm_units=1, lstm_layers=lstm_layers)
+        if builds:
+            model = build_model(spec, Rng(23))
+            assert sum(map(len, model.stacks.values())) == MAX_LAYERS
+            save_model(model, tmp_path / "m.fmdl")
+            assert load_model(tmp_path / "m.fmdl").spec == spec
+        else:
+            with pytest.raises(ConfigError, match=f"{MAX_LAYERS + 1} layers, above the limit"):
+                build_model(spec, Rng(23))
+
+    def test_lstm_stack_inside_the_other_caps_is_bounded_by_the_layer_cap(self, tmp_path):
+        """A million 1-unit LSTMs hold 12M parameters and 15M values per window,
+        both under their caps. Without the layer cap, load_model listed every
+        tensor before it found the manifest short, which took seconds and
+        hundreds of MiB for a header of a few hundred bytes."""
+        path = tmp_path / "m.fmdl"
+        spec = replace(small_spec(ACOUSTIC_CNN_LSTM), lstm_units=1)
+        save_model(build_model(spec, Rng(24)), path)
+        blob = path.read_bytes().replace(b"\nlstm_layers=2\n", b"\nlstm_layers=1000000\n")
+        path.write_bytes(blob)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="corrupt header: model spec has 1000007 layers"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.5
+        assert peak < 2**20, peak
